@@ -37,6 +37,7 @@ from hashrec.reuse import (
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
+    bll_is_scores,
     individual_activations,
     mix_scores,
     normalize_softmax,
@@ -86,6 +87,7 @@ __all__ = [
     "UsageIndex",
     "average_precision",
     "base_level_activation",
+    "bll_is_scores",
     "build_corpus",
     "build_profiles",
     "build_usage_index",

@@ -32,12 +32,12 @@ class ActivationParams:
     min_age: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.d_individual <= 0 or self.d_social <= 0:
-            raise ValueError("decay exponents must be positive")
+        for name in ("d_individual", "d_social", "min_age"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.min_age <= 0:
-            raise ValueError("min_age must be positive")
 
 
 def base_level_activation(use_ages: Iterable[float], d: float) -> float:
@@ -139,6 +139,23 @@ def rank_top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     return ordered[:k]
 
 
+def bll_is_scores(
+    index: UsageIndex,
+    graph: FollowGraph,
+    user_id: str,
+    now: Timestamp,
+    params: ActivationParams = ActivationParams(),
+) -> dict[str, float]:
+    """Unranked beta-mix of softmaxed individual and social activations.
+
+    Both activation maps are softmax-normalized before mixing, so beta
+    trades off two comparable distributions rather than raw log scales.
+    """
+    individual = normalize_softmax(individual_activations(index, user_id, now, params))
+    social = normalize_softmax(social_activations(index, graph, user_id, now, params))
+    return mix_scores(individual, social, params.beta)
+
+
 def recommend_bll_is(
     index: UsageIndex,
     graph: FollowGraph,
@@ -147,12 +164,6 @@ def recommend_bll_is(
     params: ActivationParams = ActivationParams(),
     k: int = 10,
 ) -> ScoredList:
-    """Recommend hashtags from mixed individual and social activations.
-
-    Both activation maps are softmax-normalized before mixing, so beta
-    trades off two comparable distributions rather than raw log scales.
-    Users with no history on either side get an empty list.
-    """
-    individual = normalize_softmax(individual_activations(index, user_id, now, params))
-    social = normalize_softmax(social_activations(index, graph, user_id, now, params))
-    return rank_top_k(mix_scores(individual, social, params.beta), k)
+    """Top k of ``bll_is_scores``; users with no history on either side
+    get an empty list."""
+    return rank_top_k(bll_is_scores(index, graph, user_id, now, params), k)

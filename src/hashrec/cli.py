@@ -69,6 +69,9 @@ def _load_corpus(tweets_path: str, follows_path: str | None) -> Corpus:
 
 
 def _activation_params(args: argparse.Namespace) -> ActivationParams:
+    """Validate the scoring flags shared by recommend and evaluate."""
+    if not 0.0 <= args.lambda_weight <= 1.0:
+        raise UsageError("--lambda must lie in [0, 1]")
     try:
         return ActivationParams(
             d_individual=args.d_ind,
@@ -224,8 +227,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
-    if not 0.0 <= args.lambda_weight <= 1.0:
-        raise UsageError("--lambda must lie in [0, 1]")
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
     index = build_usage_index(corpus)
@@ -264,8 +265,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("--k-max must be >= 1")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    if not 0.0 <= args.lambda_weight <= 1.0:
-        raise UsageError("--lambda must lie in [0, 1]")
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
     train, test = chronological_split(corpus, per_user_holdout=args.holdout)
@@ -325,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

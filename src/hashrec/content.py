@@ -18,11 +18,10 @@ from typing import Mapping, Sequence
 from hashrec.activation import (
     ActivationParams,
     ScoredList,
-    individual_activations,
+    bll_is_scores,
     mix_scores,
     normalize_softmax,
     rank_top_k,
-    social_activations,
 )
 from hashrec.corpus import Corpus, FollowGraph, Timestamp, UsageIndex
 
@@ -120,13 +119,6 @@ def recommend_bll_isc(
     """
     if not 0.0 <= lambda_weight <= 1.0:
         raise ValueError("lambda_weight must lie in [0, 1]")
-    individual = normalize_softmax(individual_activations(index, user_id, now, params))
-    social = normalize_softmax(social_activations(index, graph, user_id, now, params))
-    mixed = mix_scores(individual, social, params.beta)
+    history = bll_is_scores(index, graph, user_id, now, params)
     content = normalize_softmax(content_scores(profile, tokens or []))
-    final: dict[str, float] = {}
-    for hashtag in sorted(set(mixed) | set(content)):
-        final[hashtag] = lambda_weight * mixed.get(hashtag, 0.0) + (1.0 - lambda_weight) * content.get(
-            hashtag, 0.0
-        )
-    return rank_top_k(final, k)
+    return rank_top_k(mix_scores(history, content, lambda_weight), k)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from hashrec.activation import ActivationParams, ScoredList, recommend_bll_is
@@ -34,24 +36,21 @@ def _check_relevant(relevant: frozenset[str] | set[str]) -> None:
         raise ValueError("relevant set must be non-empty")
 
 
-def precision_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
-    """Hits in the top k divided by k (not by list length)."""
+def _hits_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_relevant(relevant)
-    tags = _ranked_tags(recommended)[:k]
-    hits = sum(1 for tag in tags if tag in relevant)
-    return hits / k
+    return sum(1 for tag in _ranked_tags(recommended)[:k] if tag in relevant)
+
+
+def precision_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
+    """Hits in the top k divided by k (not by list length)."""
+    return _hits_at_k(recommended, relevant, k) / k
 
 
 def recall_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
     """Hits in the top k divided by the number of relevant hashtags."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_relevant(relevant)
-    tags = _ranked_tags(recommended)[:k]
-    hits = sum(1 for tag in tags if tag in relevant)
-    return hits / len(relevant)
+    return _hits_at_k(recommended, relevant, k) / len(relevant)
 
 
 def mrr(recommended: Sequence, relevant: set[str] | frozenset[str]) -> float:
@@ -127,17 +126,7 @@ class EvalReport:
     ndcg: float
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n_test_queries": self.n_test_queries,
-            "k_max": self.k_max,
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1_at_5": self.f1_at_5,
-            "mrr": self.mrr,
-            "map": self.map,
-            "ndcg": self.ndcg,
-        }
+        return asdict(self)
 
 
 def pr_curve(report: EvalReport) -> list[tuple[int, float, float]]:
@@ -236,23 +225,17 @@ def run_eval(
         all_rows = [evaluate_query(query) for query in queries]
 
     n = len(queries)
+
+    def mean(column) -> float:
+        # A plain left fold in query order: sum() rounds floats
+        # differently from Python 3.12 on, which would change the bytes.
+        return reduce(add, column, 0.0) / n
+
     reports: dict[str, EvalReport] = {}
     for name in algorithms:
-        precision_sums = [0.0] * k_max
-        recall_sums = [0.0] * k_max
-        mrr_sum = 0.0
-        ap_sum = 0.0
-        ndcg_sum = 0.0
-        for rows in all_rows:
-            row = rows[name]
-            for i in range(k_max):
-                precision_sums[i] += row["precision"][i]
-                recall_sums[i] += row["recall"][i]
-            mrr_sum += row["mrr"]
-            ap_sum += row["ap"]
-            ndcg_sum += row["ndcg"]
-        precision = [s / n for s in precision_sums]
-        recall = [s / n for s in recall_sums]
+        rows = [query_rows[name] for query_rows in all_rows]
+        precision = [mean(column) for column in zip(*(row["precision"] for row in rows))]
+        recall = [mean(column) for column in zip(*(row["recall"] for row in rows))]
         k5 = min(5, k_max)
         p5, r5 = precision[k5 - 1], recall[k5 - 1]
         f1 = 2 * p5 * r5 / (p5 + r5) if (p5 + r5) > 0 else 0.0
@@ -263,9 +246,9 @@ def run_eval(
             precision=precision,
             recall=recall,
             f1_at_5=f1,
-            mrr=mrr_sum / n,
-            map=ap_sum / n,
-            ndcg=ndcg_sum / n,
+            mrr=mean(row["mrr"] for row in rows),
+            map=mean(row["ap"] for row in rows),
+            ndcg=mean(row["ndcg"] for row in rows),
         )
         logger.info(
             "%s: n=%d R@%d=%.4f MRR=%.4f MAP=%.4f nDCG=%.4f",

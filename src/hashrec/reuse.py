@@ -47,17 +47,20 @@ def categorize_assignment(
     earlier use by anyone else gives NETWORK; no earlier use at all is
     EXTERNAL.  Events at exactly ``now`` never count.
     """
-    own = index.used_before(user_id, hashtag, now)
-    social = any(index.used_before(f, hashtag, now) for f in graph.followees(user_id))
-    if own and social:
-        return ReuseCategory.INDIVIDUAL_SOCIAL
+    return _category(
+        index.used_before(user_id, hashtag, now),
+        any(index.used_before(f, hashtag, now) for f in graph.followees(user_id)),
+        index.anyone_used_before(hashtag, now),
+    )
+
+
+def _category(own: bool, social: bool, anywhere: bool) -> ReuseCategory:
+    """The five-way rule shared by the oracle and the streaming counter."""
     if own:
-        return ReuseCategory.INDIVIDUAL
+        return ReuseCategory.INDIVIDUAL_SOCIAL if social else ReuseCategory.INDIVIDUAL
     if social:
         return ReuseCategory.SOCIAL
-    if index.anyone_used_before(hashtag, now):
-        return ReuseCategory.NETWORK
-    return ReuseCategory.EXTERNAL
+    return ReuseCategory.NETWORK if anywhere else ReuseCategory.EXTERNAL
 
 
 def _time_batches(tweets: tuple[Tweet, ...]) -> Iterator[list[Tweet]]:
@@ -83,29 +86,18 @@ def category_distribution(corpus: Corpus) -> dict[ReuseCategory, tuple[int, floa
     own_used: dict[str, set[str]] = {}
     any_used: set[str] = set()
     counts = {category: 0 for category in ReuseCategory}
-    total = 0
     for batch in _time_batches(corpus.tweets):
         for tweet in batch:
             followees = corpus.graph.followees(tweet.user_id)
             for tag in tweet.hashtags:
                 own = tag in own_used.get(tweet.user_id, ())
                 social = any(tag in own_used.get(f, ()) for f in followees)
-                if own and social:
-                    category = ReuseCategory.INDIVIDUAL_SOCIAL
-                elif own:
-                    category = ReuseCategory.INDIVIDUAL
-                elif social:
-                    category = ReuseCategory.SOCIAL
-                elif tag in any_used:
-                    category = ReuseCategory.NETWORK
-                else:
-                    category = ReuseCategory.EXTERNAL
-                counts[category] += 1
-                total += 1
+                counts[_category(own, social, tag in any_used)] += 1
         for tweet in batch:
             for tag in tweet.hashtags:
                 own_used.setdefault(tweet.user_id, set()).add(tag)
                 any_used.add(tag)
+    total = sum(counts.values())
     return {
         category: (count, count / total if total else 0.0)
         for category, count in counts.items()
@@ -160,30 +152,25 @@ def log_bucket_edges(
 def _reuse_ages(corpus: Corpus, kind: str) -> list[float]:
     """Ages (seconds) between each assignment and the most recent
     strictly earlier use in the relevant history."""
-    own_last: dict[tuple[str, str], Timestamp] = {}
-    user_last: dict[str, dict[str, Timestamp]] = {}
+    last: dict[str, dict[str, Timestamp]] = {}
     ages: list[float] = []
     for batch in _time_batches(corpus.tweets):
         for tweet in batch:
-            if kind == "individual":
-                for tag in tweet.hashtags:
-                    last = own_last.get((tweet.user_id, tag))
-                    if last is not None:
-                        ages.append(float(tweet.time - last))
-            else:
-                followees = corpus.graph.followees(tweet.user_id)
-                for tag in tweet.hashtags:
-                    best: Timestamp | None = None
-                    for followee in followees:
-                        last = user_last.get(followee, {}).get(tag)
-                        if last is not None and (best is None or last > best):
-                            best = last
-                    if best is not None:
-                        ages.append(float(tweet.time - best))
-        for tweet in batch:
+            sources = (tweet.user_id,) if kind == "individual" else corpus.graph.followees(tweet.user_id)
             for tag in tweet.hashtags:
-                own_last[(tweet.user_id, tag)] = tweet.time
-                user_last.setdefault(tweet.user_id, {})[tag] = tweet.time
+                best: Timestamp | None = None
+                for user in sources:
+                    history = last.get(user)
+                    if history is not None:
+                        time = history.get(tag)
+                        if time is not None and (best is None or time > best):
+                            best = time
+                if best is not None:
+                    ages.append(float(tweet.time - best))
+        for tweet in batch:
+            user_last = last.setdefault(tweet.user_id, {})
+            for tag in tweet.hashtags:
+                user_last[tag] = tweet.time
     return ages
 
 

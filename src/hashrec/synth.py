@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -55,7 +55,11 @@ class GenConfig:
     mean_gap: float = 60.0
 
     def __post_init__(self) -> None:
-        violations = []
+        violations = [
+            f"{name} must be finite"
+            for name in ("p_individual", "p_social", "alpha", "zipf_s", "mean_gap")
+            if not math.isfinite(getattr(self, name))
+        ]
         if self.n_users < 1:
             violations.append("n_users must be >= 1")
         if self.n_tweets < 1:
@@ -122,14 +126,7 @@ class GenStats:
 
     def to_dict(self) -> dict:
         return {
-            "n_tweets": self.n_tweets,
-            "n_fresh": self.n_fresh,
-            "n_individual": self.n_individual,
-            "n_social": self.n_social,
-            "n_social_cancelled": self.n_social_cancelled,
-            "n_fresh_collisions": self.n_fresh_collisions,
-            "n_unfired_events": self.n_unfired_events,
-            "n_edges": self.n_edges,
+            **asdict(self),
             "individual_share": self.individual_share(),
             "social_share": self.social_share(),
         }

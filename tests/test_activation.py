@@ -8,6 +8,7 @@ import pytest
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
+    bll_is_scores,
     individual_activations,
     mix_scores,
     normalize_softmax,
@@ -241,3 +242,43 @@ class TestActivationParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ActivationParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["d_individual", "d_social", "min_age"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ActivationParams(**{field: value})
+
+
+class TestBllIsScores:
+    def random_fixture(self, rng):
+        users = [f"u{i}" for i in range(4)]
+        rows = [
+            (users[int(rng.integers(4))], int(rng.integers(100)),
+             {f"h{int(rng.integers(6))}" for _ in range(int(rng.integers(1, 3)))})
+            for _ in range(int(rng.integers(1, 25)))
+        ]
+        graph = FollowGraph(edges={
+            u: frozenset(v for v in users if v != u and rng.random() < 0.5) for u in users
+        })
+        return index_of(*rows), graph
+
+    def test_ranking_the_scores_is_recommend_bll_is(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            index, graph = self.random_fixture(rng)
+            params = ActivationParams(
+                d_individual=float(rng.uniform(0.1, 2.0)),
+                d_social=float(rng.uniform(0.1, 2.0)),
+                beta=float(rng.uniform()),
+            )
+            now = int(rng.integers(1, 120))
+            for k in (1, 3, 100):
+                scores = bll_is_scores(index, graph, "u0", now, params)
+                assert rank_top_k(scores, k) == recommend_bll_is(index, graph, "u0", now, params, k)
+
+    def test_unranked_scores_cover_own_and_followee_hashtags(self):
+        graph = FollowGraph(edges={"u1": frozenset({"a"})})
+        index = index_of(("u1", 5, ["x"]), ("a", 7, ["y"]), ("b", 8, ["z"]), ("u1", 30, ["w"]))
+        scores = bll_is_scores(index, graph, "u1", 20, ActivationParams(beta=0.25))
+        assert scores == {"x": 0.25, "y": 0.75}

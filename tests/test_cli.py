@@ -92,6 +92,14 @@ class TestGenerate:
         assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_non_finite_config_is_data_error(self, tmp_path, capsys):
+        # json accepts the NaN literal, so it must be caught by the config.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**CONFIG, "alpha": float("nan")}), encoding="utf-8")
+        assert "NaN" in config_path.read_text(encoding="utf-8")
+        assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**CONFIG, "bogus": 3}), encoding="utf-8")
@@ -204,6 +212,9 @@ class TestRecommend:
             ("--beta", "1.5"),
             ("--lambda", "-0.2"),
             ("--d-ind", "0"),
+            ("--d-ind", "nan"),
+            ("--d-soc", "inf"),
+            ("--beta", "nan"),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, extra):

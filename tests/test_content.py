@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from hashrec.activation import ActivationParams, normalize_softmax, rank_top_k, recommend_bll_is
+from hashrec.activation import (
+    ActivationParams,
+    base_level_activation,
+    normalize_softmax,
+    rank_top_k,
+    recommend_bll_is,
+)
 from hashrec.content import (
     TokenHashtagProfile,
     build_profiles,
@@ -233,3 +239,46 @@ class TestRecommendBllIsc:
         np.testing.assert_allclose(
             [s for _, s in ranked], [0.5 * s for _, s in history], rtol=1e-12
         )
+
+    def test_interior_lambda_matches_hand_blend(self):
+        # Recompute every score from the activation equation: softmax
+        # each side, mix by beta, then blend with content by lambda.
+        rows = [
+            ("u1", 10, ["x"], ["alpha"]),
+            ("u1", 25, ["x", "y"], ["beta"]),
+            ("u1", 40, ["y"], ["beta"]),
+            ("u2", 30, ["z", "x"], ["gamma", "beta"]),
+            ("u3", 35, ["z"], ["gamma"]),
+            ("u4", 20, ["solo"], ["gamma"]),
+        ]
+        corpus = corpus_of(rows, {"u1": ["u2", "u3"]})
+        index = build_usage_index(corpus)
+        profile = build_profiles(corpus)
+        params = ActivationParams(d_individual=0.7, d_social=0.4, beta=0.6)
+        now, lam, tokens = 50, 0.3, ["gamma", "beta"]
+
+        def softmax(scores):
+            exps = {tag: math.exp(value) for tag, value in scores.items()}
+            return {tag: value / sum(exps.values()) for tag, value in exps.items()}
+
+        def activations(users, d):
+            ages = {}
+            for user, time, tags, _ in rows:
+                if user in users and time < now:
+                    for tag in tags:
+                        ages.setdefault(tag, []).append(now - time)
+            return softmax({tag: base_level_activation(a, d) for tag, a in ages.items()})
+
+        own = activations({"u1"}, params.d_individual)
+        social = activations({"u2", "u3"}, params.d_social)
+        content = softmax(content_scores(profile, tokens))
+        expected = {
+            tag: lam * (params.beta * own.get(tag, 0.0) + (1 - params.beta) * social.get(tag, 0.0))
+            + (1 - lam) * content.get(tag, 0.0)
+            for tag in set(own) | set(social) | set(content)
+        }
+        ranked = recommend_bll_isc(index, corpus.graph, profile, "u1", now, tokens, params, lam, k=10)
+        assert {tag for tag, _ in ranked} == set(expected) == {"x", "y", "z", "solo"}
+        for tag, score in ranked:
+            np.testing.assert_allclose(score, expected[tag], rtol=1e-12)
+        assert [s for _, s in ranked] == sorted((s for _, s in ranked), reverse=True)

@@ -144,6 +144,17 @@ class TestRunEval:
         # F1 from the k=min(5, k_max)=2 means: 2PR/(P+R)
         np.testing.assert_allclose(report.f1_at_5, 2 * 0.25 * 0.5 / 0.75, rtol=1e-12)
 
+    def test_report_to_dict_keys_and_values(self):
+        train, test = chronological_split(two_user_fixture())
+        report = run_eval(train, test, algorithms=["mp_u"], k_max=2)["mp_u"]
+        data = report.to_dict()
+        assert set(data) == {
+            "algorithm", "n_test_queries", "k_max", "precision", "recall",
+            "f1_at_5", "mrr", "map", "ndcg",
+        }
+        assert data["algorithm"] == "mp_u" and data["k_max"] == 2
+        assert data["precision"] == report.precision and data["precision"] is not report.precision
+
     def test_perfect_recommender_scores_one(self):
         tweets = [
             make_tweet("a1", "u1", 10, ["x"]),

@@ -235,6 +235,43 @@ class TestReuseAgeHistogram:
             hist = reuse_age_histogram(corpus, "individual")
             assert hist.counts.sum() == expected
 
+    def test_ages_match_brute_force_recount_with_same_timestamp_tweets(self):
+        # Times are drawn from a narrow range so many tweets share a
+        # timestamp; those must not count as earlier uses of each other.
+        rng = np.random.default_rng(2017)
+        for _ in range(30):
+            n_users = int(rng.integers(1, 5))
+            rows = [
+                (f"t{i:03d}", f"u{int(rng.integers(n_users))}", int(rng.integers(30)),
+                 {f"h{int(rng.integers(4))}" for _ in range(int(rng.integers(0, 3)))})
+                for i in range(int(rng.integers(1, 40)))
+            ]
+            edges = {f"u{a}": [f"u{b}" for b in range(n_users) if b != a and rng.random() < 0.5]
+                     for a in range(n_users)}
+            corpus = corpus_of(rows, edges)
+            for kind in ("individual", "social"):
+                ages = []
+                for tweet in corpus.tweets:
+                    if kind == "individual":
+                        sources = {tweet.user_id}
+                    else:
+                        sources = corpus.graph.followees(tweet.user_id)
+                    for tag in tweet.hashtags:
+                        prior = [t.time for t in corpus.tweets
+                                 if t.user_id in sources and t.time < tweet.time and tag in t.hashtags]
+                        if prior:
+                            ages.append(tweet.time - max(prior))
+                hist = reuse_age_histogram(corpus, kind)
+                if not ages:
+                    assert hist.counts.sum() == 0
+                    continue
+                assert min(ages) >= 1
+                np.testing.assert_array_equal(
+                    hist.edges, log_bucket_edges(float(min(ages)), float(max(ages)))
+                )
+                expected, _ = np.histogram(np.array(ages, dtype=float), bins=hist.edges)
+                np.testing.assert_array_equal(hist.counts, expected)
+
 
 class TestFitPowerLaw:
     @staticmethod

@@ -54,6 +54,12 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError, match=field.replace("+", "\\+")):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("field", ["p_individual", "p_social", "alpha", "zipf_s", "mean_gap"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
+
     def test_multiple_violations_listed_together(self):
         with pytest.raises(ValueError) as err:
             small_config(n_users=0, alpha=-1.0, mean_gap=-2.0)
@@ -176,3 +182,17 @@ class TestPlantedStructure:
             )
         )
         assert abs(family - 0.6) <= 0.05
+
+
+class TestGenStats:
+    def test_to_dict_keys_are_the_counts_and_both_shares(self):
+        stats = generate(small_config(n_tweets=200)).stats
+        data = stats.to_dict()
+        assert set(data) == {
+            "n_tweets", "n_fresh", "n_individual", "n_social", "n_social_cancelled",
+            "n_fresh_collisions", "n_unfired_events", "n_edges",
+            "individual_share", "social_share",
+        }
+        assert data["n_tweets"] == 200
+        assert data["individual_share"] == stats.n_individual / 200
+        assert data["social_share"] == stats.n_social / 200
