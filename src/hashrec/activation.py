@@ -5,17 +5,84 @@ raised to a negative decay exponent, so many recent uses score high and
 stale ones fade as a power law.  Individual (own history) and social
 (followee history) activations are softmax-normalized separately and
 mixed by a weight beta to produce the final ranking.
+
+Scoring runs on the usage index's per-user (time, hashtag id) columns:
+each query cuts them at its time and sums, softmaxes, mixes and ranks
+whole arrays.  ``base_level_activation`` is the scalar definition the
+tests check those arrays against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from hashrec.corpus import FollowGraph, Timestamp, UsageIndex
 
 ScoredList = list[tuple[str, float]]
+
+_NO_IDS = np.empty(0, dtype=np.int32)
+_NO_VALUES = np.empty(0)
+
+
+class TagScores(Mapping[str, float]):
+    """Read-only hashtag -> score view over two parallel arrays.
+
+    ``ids`` ascend and index ``tags``, the sorted hashtags a usage index
+    interned; ``scores[i]`` is the score of ``tags[ids[i]]``.  The view
+    iterates in hashtag order and compares equal to the matching dict.
+    Its methods score on the arrays, so a query builds no dict.
+    """
+
+    __slots__ = ("tags", "ids", "scores")
+
+    def __init__(self, tags: Sequence[str], ids: np.ndarray, scores: np.ndarray) -> None:
+        self.tags = tags
+        self.ids = ids
+        self.scores = scores
+
+    def __getitem__(self, hashtag: str) -> float:
+        tag_id = bisect_left(self.tags, hashtag)
+        pos = int(self.ids.searchsorted(tag_id))
+        if pos < self.ids.size and self.ids[pos] == tag_id and self.tags[tag_id] == hashtag:
+            return float(self.scores[pos])
+        raise KeyError(hashtag)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.tags.__getitem__, self.ids.tolist())
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def softmax(self) -> TagScores:
+        """``normalize_softmax`` of the view."""
+        if not self.scores.size:
+            return self
+        exps = np.exp(self.scores - self.scores.max())
+        return TagScores(self.tags, self.ids, exps / exps.sum())
+
+    def mix(self, other: TagScores, weight: float) -> TagScores:
+        """``mix_scores(self, other, weight)``: the blend over the union of
+        both id sets, a missing side counting 0."""
+        # Not np.union1d: its np.unique path imports numpy.ma, which
+        # costs about 1.3 MB of resident memory.
+        ids, slots = np.unique(np.concatenate((self.ids, other.ids)), return_inverse=True)
+        mine, theirs = np.zeros(ids.size), np.zeros(ids.size)
+        mine[slots[: self.ids.size]] = self.scores
+        theirs[slots[self.ids.size :]] = other.scores
+        return TagScores(self.tags, ids, _blend(mine, theirs, weight))
+
+    def top_k(self, k: int) -> ScoredList:
+        """``rank_top_k`` of the view: id order is hashtag order, so
+        ties still break by hashtag ascending."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        order = np.lexsort((self.ids, -self.scores))[:k]
+        return list(zip(map(self.tags.__getitem__, self.ids[order].tolist()), self.scores[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -58,18 +125,37 @@ def base_level_activation(use_ages: Iterable[float], d: float) -> float:
     return math.log(total)
 
 
-def _history_activations(
-    histories: Mapping[str, list[Timestamp]],
+def _activations(
+    index: UsageIndex,
+    users: Iterable[str],
     now: Timestamp,
     d: float,
     min_age: float,
-) -> dict[str, float]:
-    activations: dict[str, float] = {}
-    for hashtag in sorted(histories):
-        ages = [max(float(now - t), min_age) for t in histories[hashtag] if t < now]
-        if ages:
-            activations[hashtag] = base_level_activation(ages, d)
-    return activations
+) -> TagScores:
+    """Base-level activation of every hashtag the users used before now.
+
+    Each user's columns are cut at now and the slices concatenated in
+    the order of ``users``; ``bincount`` then adds every hashtag's terms
+    in that order, so they sum in the order of the scalar definition.
+    """
+    times: list[np.ndarray] = []
+    ids: list[np.ndarray] = []
+    for user in users:
+        user_times, user_ids = index.user_columns(user)
+        cut = user_times.searchsorted(now)
+        if cut:
+            times.append(user_times[:cut])
+            ids.append(user_ids[:cut])
+    if not times:
+        return TagScores(index.tags, _NO_IDS, _NO_VALUES)
+    present, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+    # float(now) - t is float(now - t) for times below 2**53, and it
+    # cannot overflow int64 the way now - t can.
+    terms = np.maximum(float(now) - np.concatenate(times), min_age) ** -d
+    sums = np.bincount(inverse, terms)
+    if not sums.all():
+        raise ValueError("activation underflows to zero: the decay exponent is too large for these ages")
+    return TagScores(index.tags, present, np.log(sums))
 
 
 def individual_activations(
@@ -77,9 +163,9 @@ def individual_activations(
     user_id: str,
     now: Timestamp,
     params: ActivationParams = ActivationParams(),
-) -> dict[str, float]:
+) -> TagScores:
     """Activation of every hashtag the user used strictly before now."""
-    return _history_activations(index.user_history(user_id), now, params.d_individual, params.min_age)
+    return _activations(index, (user_id,), now, params.d_individual, params.min_age)
 
 
 def social_activations(
@@ -88,18 +174,14 @@ def social_activations(
     user_id: str,
     now: Timestamp,
     params: ActivationParams = ActivationParams(),
-) -> dict[str, float]:
+) -> TagScores:
     """Activation of every hashtag any followee used strictly before now.
 
     Uses are pooled across followees into one age list per hashtag, so
     a tag several followees keep using accumulates more activation than
     any single history would give it.
     """
-    pooled: dict[str, list[Timestamp]] = {}
-    for followee in sorted(graph.followees(user_id)):
-        for hashtag, times in index.user_history(followee).items():
-            pooled.setdefault(hashtag, []).extend(times)
-    return _history_activations(pooled, now, params.d_social, params.min_age)
+    return _activations(index, sorted(graph.followees(user_id)), now, params.d_social, params.min_age)
 
 
 def normalize_softmax(scores: Mapping[str, float]) -> dict[str, float]:
@@ -117,6 +199,11 @@ def normalize_softmax(scores: Mapping[str, float]) -> dict[str, float]:
     return {key: value / total for key, value in exps.items()}
 
 
+def _blend(left, right, weight: float):
+    """The mixing expression, shared by floats and arrays."""
+    return weight * left + (1.0 - weight) * right
+
+
 def mix_scores(
     individual: Mapping[str, float],
     social: Mapping[str, float],
@@ -125,10 +212,10 @@ def mix_scores(
     """beta-weighted sum over the union of candidates; missing side is 0."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    mixed: dict[str, float] = {}
-    for hashtag in sorted(set(individual) | set(social)):
-        mixed[hashtag] = beta * individual.get(hashtag, 0.0) + (1.0 - beta) * social.get(hashtag, 0.0)
-    return mixed
+    return {
+        hashtag: _blend(individual.get(hashtag, 0.0), social.get(hashtag, 0.0), beta)
+        for hashtag in sorted(set(individual) | set(social))
+    }
 
 
 def rank_top_k(scores: Mapping[str, float], k: int) -> ScoredList:
@@ -139,6 +226,23 @@ def rank_top_k(scores: Mapping[str, float], k: int) -> ScoredList:
     return ordered[:k]
 
 
+def history_scores(
+    index: UsageIndex,
+    graph: FollowGraph,
+    user_id: str,
+    now: Timestamp,
+    params: ActivationParams = ActivationParams(),
+) -> TagScores:
+    """Beta-mix of softmaxed individual and social activations.
+
+    Both activation maps are softmax-normalized before mixing, so beta
+    trades off two comparable distributions rather than raw log scales.
+    """
+    individual = individual_activations(index, user_id, now, params).softmax()
+    social = social_activations(index, graph, user_id, now, params).softmax()
+    return individual.mix(social, params.beta)
+
+
 def bll_is_scores(
     index: UsageIndex,
     graph: FollowGraph,
@@ -146,14 +250,9 @@ def bll_is_scores(
     now: Timestamp,
     params: ActivationParams = ActivationParams(),
 ) -> dict[str, float]:
-    """Unranked beta-mix of softmaxed individual and social activations.
-
-    Both activation maps are softmax-normalized before mixing, so beta
-    trades off two comparable distributions rather than raw log scales.
-    """
-    individual = normalize_softmax(individual_activations(index, user_id, now, params))
-    social = normalize_softmax(social_activations(index, graph, user_id, now, params))
-    return mix_scores(individual, social, params.beta)
+    """``history_scores`` as a dict in hashtag order."""
+    scores = history_scores(index, graph, user_id, now, params)
+    return dict(zip(scores, scores.scores.tolist()))
 
 
 def recommend_bll_is(
@@ -164,6 +263,6 @@ def recommend_bll_is(
     params: ActivationParams = ActivationParams(),
     k: int = 10,
 ) -> ScoredList:
-    """Top k of ``bll_is_scores``; users with no history on either side
+    """Top k of ``history_scores``; users with no history on either side
     get an empty list."""
-    return rank_top_k(bll_is_scores(index, graph, user_id, now, params), k)
+    return history_scores(index, graph, user_id, now, params).top_k(k)

@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--quiet", action="store_true", help="suppress informational logging")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for evaluation")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; evaluation runs in one thread"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser(

@@ -15,10 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from hashrec.activation import (
     ActivationParams,
     ScoredList,
-    bll_is_scores,
+    TagScores,
+    history_scores,
     mix_scores,
     normalize_softmax,
     rank_top_k,
@@ -98,6 +101,17 @@ def content_scores(profile: TokenHashtagProfile, tokens: Sequence[str]) -> dict[
     return scores
 
 
+def _on_index(index: UsageIndex, scores: Mapping[str, float]) -> tuple[TagScores, dict[str, float]]:
+    """Split scores into a view over the hashtags the index interned
+    and a dict of the hashtags it never saw."""
+    known = {index.tag_ids[tag]: score for tag, score in scores.items() if tag in index.tag_ids}
+    unseen = {tag: score for tag, score in scores.items() if tag not in index.tag_ids}
+    ids = np.fromiter(known, dtype=np.int32, count=len(known))
+    values = np.fromiter(known.values(), dtype=float, count=len(known))
+    order = np.argsort(ids)
+    return TagScores(index.tags, ids[order], values[order]), unseen
+
+
 def recommend_bll_isc(
     index: UsageIndex,
     graph: FollowGraph,
@@ -119,6 +133,11 @@ def recommend_bll_isc(
     """
     if not 0.0 <= lambda_weight <= 1.0:
         raise ValueError("lambda_weight must lie in [0, 1]")
-    history = bll_is_scores(index, graph, user_id, now, params)
-    content = normalize_softmax(content_scores(profile, tokens or []))
-    return rank_top_k(mix_scores(history, content, lambda_weight), k)
+    history = history_scores(index, graph, user_id, now, params)
+    content, unseen = _on_index(index, normalize_softmax(content_scores(profile, tokens or [])))
+    # A hashtag the index never saw has no history score.  The top k of
+    # the interned candidates plus those, ranked by the same tie rule,
+    # is the top k of the whole union.
+    ranked = dict(history.mix(content, lambda_weight).top_k(k))
+    ranked.update(mix_scores({}, unseen, lambda_weight))
+    return rank_top_k(ranked, k)

@@ -12,11 +12,19 @@ import logging
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
 Timestamp = int
+
+# The usage index stores times as int64, so parsed timestamps must fit.
+_TIMESTAMP_LIMIT = 2**63
+
+_NO_USES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 
 # Tokens are maximal runs of word characters excluding underscore.
 # Hashtag mentions inside the text are removed before token extraction
@@ -140,6 +148,7 @@ def parse_tweets(lines: Iterable[str]) -> list[Tweet]:
             "timestamp must be an integer",
         )
         _require(timestamp >= 0, line_no, "timestamp must be non-negative")
+        _require(timestamp < _TIMESTAMP_LIMIT, line_no, "timestamp must be below 2**63")
         _require(isinstance(raw_tags, list), line_no, "hashtags must be an array")
         hashtags = set()
         for raw in raw_tags:
@@ -256,14 +265,28 @@ class UsageIndex:
     ``n_events`` equals the total number of (tweet, hashtag) pairs.
     Queries that take a ``now`` are strict: only events with
     time < now count.
+
+    Hashtags are also interned: ``tags`` holds them in sorted order and
+    ``tag_ids[h]`` is h's position there, so comparing ids compares
+    hashtags.  ``columns[u]`` is the pair (times, tag ids) of u's uses
+    as int64 and int32 arrays sorted by time; a hashtag's own uses keep
+    their order from ``by_user``.  The pairs are read-only slices of two
+    arrays that hold every user's uses.
     """
 
     by_user: Mapping[str, Mapping[str, list[Timestamp]]]
     by_hashtag: Mapping[str, list[tuple[Timestamp, str]]]
     n_events: int
+    tags: tuple[str, ...]
+    tag_ids: Mapping[str, int]
+    columns: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(compare=False)
 
     def user_history(self, user_id: str) -> Mapping[str, list[Timestamp]]:
         return self.by_user.get(user_id, {})
+
+    def user_columns(self, user_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """(times, tag ids) of the user's uses; empty arrays if none."""
+        return self.columns.get(user_id, _NO_USES)
 
     def uses(self, user_id: str, hashtag: str) -> list[Timestamp]:
         return self.by_user.get(user_id, {}).get(hashtag, [])
@@ -311,7 +334,33 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
             by_user.setdefault(tweet.user_id, {}).setdefault(tag, []).append(tweet.time)
             by_hashtag.setdefault(tag, []).append((tweet.time, tweet.user_id))
             n_events += 1
-    return UsageIndex(by_user=by_user, by_hashtag=by_hashtag, n_events=n_events)
+    tags = tuple(sorted(by_hashtag))
+    tag_ids = {tag: i for i, tag in enumerate(tags)}
+    # One pair of arrays for all users, each user's uses a contiguous
+    # slice: (user, hashtag) runs in by_user order, then sorted by user
+    # and time.  lexsort is stable, so a hashtag's uses keep their order.
+    runs = [uses for history in by_user.values() for uses in history.values()]
+    times = np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=n_events)
+    run_tags = (tag_ids[tag] for history in by_user.values() for tag in history)
+    ids = np.repeat(np.fromiter(run_tags, dtype=np.int32, count=len(runs)), [len(uses) for uses in runs])
+    sizes = [sum(map(len, history.values())) for history in by_user.values()]
+    order = np.lexsort((times, np.repeat(np.arange(len(sizes)), sizes)))
+    times, ids = times[order], ids[order]
+    times.setflags(write=False)
+    ids.setflags(write=False)
+    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    end = 0
+    for user, size in zip(by_user, sizes):
+        columns[user] = (times[end : end + size], ids[end : end + size])
+        end += size
+    return UsageIndex(
+        by_user=by_user,
+        by_hashtag=by_hashtag,
+        n_events=n_events,
+        tags=tags,
+        tag_ids=tag_ids,
+        columns=columns,
+    )
 
 
 def tweet_to_record(tweet: Tweet) -> dict:

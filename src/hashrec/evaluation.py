@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
@@ -173,7 +172,9 @@ def run_eval(
     query tweet's tokens to content-capable algorithms.  Queries run in
     (time, tweet_id) order regardless of input order, and per-query
     rows are reduced in that same order, so results do not depend on
-    the test sequence ordering or on ``threads``.
+    the test sequence ordering.  ``threads`` is checked and otherwise
+    ignored: queries run in the calling thread, because a thread pool
+    made evaluation slower, not faster.
     """
     if scenario not in (1, 2):
         raise ValueError("scenario must be 1 or 2")
@@ -218,11 +219,7 @@ def run_eval(
             rows[name] = query_metrics(recommended, query.hashtags, k_max)
         return rows
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = list(pool.map(evaluate_query, queries))
-    else:
-        all_rows = [evaluate_query(query) for query in queries]
+    all_rows = [evaluate_query(query) for query in queries]
 
     n = len(queries)
 

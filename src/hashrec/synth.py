@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
@@ -37,10 +38,16 @@ _FRESH_DRAW_ATTEMPTS = 20
 _KIND_INDIVIDUAL = 0
 _KIND_SOCIAL = 1
 
+_INTEGER_FIELDS = ("n_users", "n_tweets", "vocab_size", "seed", "start_time")
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Generator knobs; invalid values raise listing every bad field."""
+    """Generator knobs; invalid values raise listing every bad field.
+
+    Type violations (a non-integer count or seed, a non-finite real)
+    are reported before range violations, which need numbers to compare.
+    """
 
     n_users: int
     n_tweets: int
@@ -56,10 +63,18 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         violations = [
+            f"{name} must be an integer"
+            for name in _INTEGER_FIELDS
+            # bool is an Integral too, but true in a config is a mistake, not 1.
+            if not isinstance(getattr(self, name), numbers.Integral) or isinstance(getattr(self, name), bool)
+        ]
+        violations += [
             f"{name} must be finite"
             for name in ("p_individual", "p_social", "alpha", "zipf_s", "mean_gap")
             if not math.isfinite(getattr(self, name))
         ]
+        if violations:
+            raise ValueError("invalid generator config: " + "; ".join(violations))
         if self.n_users < 1:
             violations.append("n_users must be >= 1")
         if self.n_tweets < 1:

@@ -86,6 +86,12 @@ class TestIndividualActivations:
         acts = individual_activations(index, "u1", 10)
         assert set(acts) == {"b"}
 
+    def test_underflowing_activation_rejected(self):
+        # 1e6 ** -60 is below the smallest double, so the sum is 0.
+        index = index_of(("u1", 0, ["a"]), ("u1", 999_990, ["b"]))
+        with pytest.raises(ValueError, match="underflow"):
+            individual_activations(index, "u1", 1_000_000, ActivationParams(d_individual=60.0))
+
     def test_min_age_clamp(self):
         index = index_of(("u1", 8, ["a"]), ("u1", 9, ["a"]))
         acts = individual_activations(index, "u1", 10, ActivationParams(min_age=5.0))
@@ -282,3 +288,116 @@ class TestBllIsScores:
         index = index_of(("u1", 5, ["x"]), ("a", 7, ["y"]), ("b", 8, ["z"]), ("u1", 30, ["w"]))
         scores = bll_is_scores(index, graph, "u1", 20, ActivationParams(beta=0.25))
         assert scores == {"x": 0.25, "y": 0.75}
+
+
+def reference_activations(tweets, users, now, d, min_age):
+    """Scalar BLL from the raw tweets: every hashtag's ages collected
+    user by user (in the given order) and in time order within a user,
+    then summed by ``base_level_activation``."""
+    ordered = sorted(tweets, key=Tweet.sort_key)
+    ages: dict[str, list[float]] = {}
+    for user in users:
+        for tweet in ordered:
+            if tweet.user_id == user and tweet.time < now:
+                for tag in sorted(tweet.hashtags):
+                    ages.setdefault(tag, []).append(max(float(now - tweet.time), min_age))
+    return {tag: base_level_activation(a, d) for tag, a in ages.items()}
+
+
+def reference_ranking(tweets, graph, user, now, params, k):
+    own = reference_activations(tweets, [user], now, params.d_individual, params.min_age)
+    social = reference_activations(
+        tweets, sorted(graph.followees(user)), now, params.d_social, params.min_age
+    )
+    mixed = mix_scores(normalize_softmax(own), normalize_softmax(social), params.beta)
+    return sorted(mixed.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def assert_same_scores(actual, expected):
+    assert set(actual) == set(expected)
+    for tag, value in expected.items():
+        np.testing.assert_allclose(actual[tag], value, rtol=1e-9, atol=1e-300)
+
+
+class TestArrayPathAgainstScalarOracle:
+    """The columnar path against ``base_level_activation`` on random corpora.
+
+    The corpora have repeated timestamps, uses exactly at ``now``, ages
+    under ``min_age``, users without history or followees, followees
+    sharing the user's hashtags, and non-ASCII hashtags whose ties must
+    break in code-point order.
+    """
+
+    TAGS = ["a", "b", "z", "é", "ω", "日本", "zz"]
+    USERS = ["u0", "u1", "u2", "u3", "idle"]
+
+    def random_corpus(self, rng):
+        tweets = [
+            Tweet(
+                tweet_id=f"t{i:03d}",
+                user_id=self.USERS[int(rng.integers(4))],
+                time=int(rng.integers(0, 40)),
+                hashtags=frozenset(
+                    self.TAGS[int(j)] for j in rng.integers(0, len(self.TAGS), size=int(rng.integers(1, 4)))
+                ),
+            )
+            for i in range(int(rng.integers(0, 60)))
+        ]
+        graph = FollowGraph(edges={
+            u: frozenset(v for v in self.USERS if v != u and rng.random() < 0.5)
+            for u in self.USERS[:3]
+        })
+        return tweets, graph
+
+    def random_params(self, rng):
+        return ActivationParams(
+            d_individual=float(rng.uniform(0.1, 2.0)),
+            d_social=float(rng.uniform(0.1, 2.0)),
+            beta=float(rng.uniform()),
+            min_age=float(rng.choice([1.0, 3.0, 7.5])),
+        )
+
+    def test_activations_and_rankings_match_the_scalar_oracle(self):
+        rng = np.random.default_rng(2017)
+        for _ in range(150):
+            tweets, graph = self.random_corpus(rng)
+            index = build_usage_index(build_corpus(tweets, graph))
+            params = self.random_params(rng)
+            # now often equals a use time, whose use must then not count.
+            if tweets and rng.random() < 0.5:
+                now = int(rng.choice([t.time for t in tweets]))
+            else:
+                now = int(rng.integers(0, 45))
+            for user in self.USERS:
+                assert_same_scores(
+                    individual_activations(index, user, now, params),
+                    reference_activations(tweets, [user], now, params.d_individual, params.min_age),
+                )
+                assert_same_scores(
+                    social_activations(index, graph, user, now, params),
+                    reference_activations(
+                        tweets, sorted(graph.followees(user)), now, params.d_social, params.min_age
+                    ),
+                )
+                for k in (1, 3, 10):
+                    ranked = recommend_bll_is(index, graph, user, now, params, k)
+                    expected = reference_ranking(tweets, graph, user, now, params, k)
+                    assert [tag for tag, _ in ranked] == [tag for tag, _ in expected]
+                    np.testing.assert_allclose(
+                        [s for _, s in ranked], [s for _, s in expected], rtol=1e-9, atol=1e-300
+                    )
+
+    def test_ties_break_in_code_point_order(self):
+        tags = ["日本", "z", "é", "a", "ω", "Z"]
+        index = index_of(("u1", 5, tags))
+        ranked = recommend_bll_is(index, FollowGraph(edges={}), "u1", 10)
+        assert [t for t, _ in ranked] == sorted(tags) == ["Z", "a", "z", "é", "ω", "日本"]
+
+    def test_activation_view_reads_like_a_dict(self):
+        index = index_of(("u1", 9, ["é"]), ("u1", 6, ["a"]), ("u2", 1, ["b"]))
+        acts = individual_activations(index, "u1", 10)
+        assert list(acts) == ["a", "é"] and len(acts) == 2
+        assert acts == {"a": base_level_activation([4.0], 0.5), "é": 0.0}
+        assert "b" not in acts and "zz" not in acts and acts.get("b") is None
+        with pytest.raises(KeyError):
+            acts["b"]

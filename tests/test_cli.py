@@ -100,6 +100,14 @@ class TestGenerate:
         assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
         assert "alpha must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("n_users", float("nan")), ("seed", 1.5), ("n_tweets", True)])
+    def test_non_integer_config_is_data_error(self, tmp_path, capsys, field, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**CONFIG, field: value}), encoding="utf-8")
+        assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "tweets.jsonl").exists()
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**CONFIG, "bogus": 3}), encoding="utf-8")

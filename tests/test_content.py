@@ -8,6 +8,8 @@ import pytest
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
+    bll_is_scores,
+    mix_scores,
     normalize_softmax,
     rank_top_k,
     recommend_bll_is,
@@ -282,3 +284,34 @@ class TestRecommendBllIsc:
         for tag, score in ranked:
             np.testing.assert_allclose(score, expected[tag], rtol=1e-12)
         assert [s for _, s in ranked] == sorted((s for _, s in ranked), reverse=True)
+
+    def test_profile_hashtags_the_index_never_saw_stay_candidates(self):
+        # The profile comes from a larger corpus than the index, so some
+        # content hashtags have no interned id; they must still rank, in
+        # hashtag order among equal scores.
+        rows = [
+            ("u1", 10, ["x"], ["alpha"]),
+            ("u1", 40, ["y"], ["beta"]),
+            ("u2", 30, ["z"], ["gamma", "beta"]),
+        ]
+        unseen = [("u3", 20, ["ñew", "aaa", "y"], ["beta", "gamma"]), ("u3", 45, ["zzz"], ["gamma"])]
+        corpus = corpus_of(rows, {"u1": ["u2"]})
+        index = build_usage_index(corpus)
+        profile = build_profiles(corpus_of(rows + unseen))
+        assert {"ñew", "aaa", "zzz"}.isdisjoint(index.tag_ids)
+        params = ActivationParams(beta=0.4)
+        for lam in (0.0, 0.3, 1.0):
+            for k in (1, 3, 10):
+                for tokens in (["gamma"], ["beta", "gamma"], ["beta"]):
+                    ranked = recommend_bll_isc(index, corpus.graph, profile, "u1", 50, tokens, params, lam, k)
+                    expected = rank_top_k(
+                        mix_scores(
+                            bll_is_scores(index, corpus.graph, "u1", 50, params),
+                            normalize_softmax(content_scores(profile, tokens)),
+                            lam,
+                        ),
+                        k,
+                    )
+                    assert ranked == expected
+        ranked = recommend_bll_isc(index, corpus.graph, profile, "u1", 50, ["gamma"], params, 0.0, 10)
+        assert {"ñew", "aaa", "zzz"} <= {tag for tag, _ in ranked}

@@ -114,6 +114,7 @@ class TestParseTweets:
             {"tweet_id": "t1", "user_id": "u1", "timestamp": 1, "hashtags": "nlp"},
             {"tweet_id": "t1", "user_id": "u1", "timestamp": 1, "hashtags": [3]},
             {"tweet_id": "", "user_id": "u1", "timestamp": 1, "hashtags": []},
+            {"tweet_id": "t1", "user_id": "u1", "timestamp": 2**63, "hashtags": []},
         ],
     )
     def test_invalid_records_rejected(self, record):

@@ -1,0 +1,81 @@
+"""Metamorphic properties of the recommenders, checked with hypothesis.
+
+Every recommender may read only uses strictly before the query time,
+and only time differences matter to it.  So:
+
+- shifting every timestamp and ``now`` by one constant leaves its
+  output unchanged, bit for bit;
+- appending tweets at or after ``now`` leaves its output unchanged.
+
+``bll_isc`` is left out: its content profile counts every training
+tweet, also those at or after the query time, so appended tweets can
+change its ranking (ROADMAP item 2).
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hashrec.activation import ActivationParams, recommend_bll_is
+from hashrec.baselines import most_recent, mp_global, mp_social, mp_user
+from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index
+
+K = 5
+PARAMS = ActivationParams(d_individual=0.6, d_social=0.4, beta=0.3, min_age=2.0)
+USERS = ["u0", "u1", "u2", "u3"]
+TAGS = ["a", "b", "c", "é", "日本"]
+
+RECOMMENDERS = {
+    "bll_is": lambda index, graph, user, now: recommend_bll_is(index, graph, user, now, PARAMS, K),
+    "mp": lambda index, graph, user, now: mp_global(index, now, K),
+    "mp_u": lambda index, graph, user, now: mp_user(index, user, now, K),
+    "mp_s": lambda index, graph, user, now: mp_social(index, graph, user, now, K),
+    "mr": lambda index, graph, user, now: most_recent(index, user, now, K),
+}
+
+rows = st.lists(
+    st.tuples(
+        st.sampled_from(USERS),
+        st.integers(0, 1_000),
+        st.frozensets(st.sampled_from(TAGS), min_size=1, max_size=3),
+    ),
+    max_size=30,
+)
+graphs = st.dictionaries(st.sampled_from(USERS), st.frozensets(st.sampled_from(USERS), max_size=3)).map(
+    lambda edges: FollowGraph(edges={u: vs - {u} for u, vs in edges.items()})
+)
+
+
+def outputs(rows, graph, now):
+    tweets = [Tweet(f"t{i:03d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+    index = build_usage_index(build_corpus(tweets, graph))
+    return {
+        name: [recommend(index, graph, user, now) for user in USERS]
+        for name, recommend in RECOMMENDERS.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=rows, graph=graphs, now=st.integers(0, 1_100), shift=st.integers(1, 2**40))
+def test_shifting_every_time_changes_nothing(rows, graph, now, shift):
+    shifted = [(user, time + shift, tags) for user, time, tags in rows]
+    assert outputs(shifted, graph, now + shift) == outputs(rows, graph, now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=rows,
+    graph=graphs,
+    now=st.integers(0, 1_100),
+    late=st.lists(
+        st.tuples(
+            st.sampled_from(USERS),
+            st.integers(0, 500),
+            st.frozensets(st.sampled_from(TAGS + ["late"]), min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_tweets_at_or_after_now_change_nothing(rows, graph, now, late):
+    appended = rows + [(user, now + offset, tags) for user, offset, tags in late]
+    assert outputs(appended, graph, now) == outputs(rows, graph, now)

@@ -60,6 +60,12 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_users", "n_tweets", "vocab_size", "seed", "start_time"])
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, True])
+    def test_non_integer_values_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
     def test_multiple_violations_listed_together(self):
         with pytest.raises(ValueError) as err:
             small_config(n_users=0, alpha=-1.0, mean_gap=-2.0)
