@@ -134,24 +134,17 @@ def _activations(
 ) -> TagScores:
     """Base-level activation of every hashtag the users used before now.
 
-    Each user's columns are cut at now and the slices concatenated in
-    the order of ``users``; ``bincount`` then adds every hashtag's terms
-    in that order, so they sum in the order of the scalar definition.
+    ``bincount`` adds every hashtag's terms in the order of
+    ``UsageIndex.uses_before``, so they sum in the order of the scalar
+    definition.
     """
-    times: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
-    for user in users:
-        user_times, user_ids = index.user_columns(user)
-        cut = user_times.searchsorted(now)
-        if cut:
-            times.append(user_times[:cut])
-            ids.append(user_ids[:cut])
-    if not times:
+    times, ids = index.uses_before(users, now)
+    if not ids.size:
         return TagScores(index.tags, _NO_IDS, _NO_VALUES)
-    present, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+    present, inverse = np.unique(ids, return_inverse=True)
     # float(now) - t is float(now - t) for times below 2**53, and it
     # cannot overflow int64 the way now - t can.
-    terms = np.maximum(float(now) - np.concatenate(times), min_age) ** -d
+    terms = np.maximum(float(now) - times, min_age) ** -d
     sums = np.bincount(inverse, terms)
     if not sums.all():
         raise ValueError("activation underflows to zero: the decay exponent is too large for these ages")

@@ -3,43 +3,37 @@
 Each baseline ranks hashtags from the same strictly-before-now usage
 events the activation recommender sees, so comparisons isolate the
 value of power-law decay rather than differences in data access.
+Every one reads a prefix of the usage index's time-sorted columns.
 """
 
 from __future__ import annotations
 
-from hashrec.activation import ScoredList, rank_top_k
+import numpy as np
+
+from hashrec.activation import ScoredList, TagScores
 from hashrec.corpus import FollowGraph, Timestamp, UsageIndex
+
+
+def _top_counts(index: UsageIndex, ids: np.ndarray, k: int) -> ScoredList:
+    """Top k hashtags by their number of occurrences in ``ids``."""
+    counts = np.bincount(ids)
+    present = np.flatnonzero(counts)
+    return TagScores(index.tags, present, counts[present].astype(float)).top_k(k)
 
 
 def mp_global(index: UsageIndex, now: Timestamp, k: int = 10) -> ScoredList:
     """Most popular overall: global use counts strictly before now."""
-    scores: dict[str, float] = {}
-    for hashtag in index.hashtags():
-        count = index.count_global_before(hashtag, now)
-        if count:
-            scores[hashtag] = float(count)
-    return rank_top_k(scores, k)
+    return _top_counts(index, index.ids[: index.times.searchsorted(now)], k)
 
 
 def mp_user(index: UsageIndex, user_id: str, now: Timestamp, k: int = 10) -> ScoredList:
     """Most popular in the user's own history strictly before now."""
-    scores: dict[str, float] = {}
-    for hashtag in index.user_history(user_id):
-        count = index.count_user_before(user_id, hashtag, now)
-        if count:
-            scores[hashtag] = float(count)
-    return rank_top_k(scores, k)
+    return _top_counts(index, index.uses_before((user_id,), now)[1], k)
 
 
 def mp_social(index: UsageIndex, graph: FollowGraph, user_id: str, now: Timestamp, k: int = 10) -> ScoredList:
     """Most popular across followee histories strictly before now."""
-    scores: dict[str, float] = {}
-    for followee in sorted(graph.followees(user_id)):
-        for hashtag in index.user_history(followee):
-            count = index.count_user_before(followee, hashtag, now)
-            if count:
-                scores[hashtag] = scores.get(hashtag, 0.0) + float(count)
-    return rank_top_k(scores, k)
+    return _top_counts(index, index.uses_before(graph.followees(user_id), now)[1], k)
 
 
 def most_recent(index: UsageIndex, user_id: str, now: Timestamp, k: int = 10) -> ScoredList:
@@ -49,9 +43,9 @@ def most_recent(index: UsageIndex, user_id: str, now: Timestamp, k: int = 10) ->
     more recent and the shared tie rule (score desc, hashtag asc) keeps
     the ordering deterministic.
     """
-    scores: dict[str, float] = {}
-    for hashtag in index.user_history(user_id):
-        last = index.last_use_before(user_id, hashtag, now)
-        if last is not None:
-            scores[hashtag] = -float(now - last)
-    return rank_top_k(scores, k)
+    times, ids = index.uses_before((user_id,), now)
+    # Times ascend, so a hashtag's first use in the reversed columns is
+    # its last use before now.  t - float(now) is -float(now - t) for
+    # times below 2**53, and it cannot overflow int64 the way now - t can.
+    present, last = np.unique(ids[::-1], return_index=True)
+    return TagScores(index.tags, present, times[::-1][last] - float(now)).top_k(k)

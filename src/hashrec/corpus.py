@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -256,111 +254,102 @@ def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corp
     return build_corpus(train, corpus.graph), test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UsageIndex:
-    """Hashtag usage events from a fixed tweet set, sorted by time.
+    """Hashtag usage events from a fixed tweet set, as time-sorted columns.
 
-    ``by_user[u][h]`` is the ascending list of times u used h;
-    ``by_hashtag[h]`` is the ascending list of (time, user) uses.
-    ``n_events`` equals the total number of (tweet, hashtag) pairs.
-    Queries that take a ``now`` are strict: only events with
-    time < now count.
-
-    Hashtags are also interned: ``tags`` holds them in sorted order and
+    Hashtags are interned: ``tags`` holds them in sorted order and
     ``tag_ids[h]`` is h's position there, so comparing ids compares
-    hashtags.  ``columns[u]`` is the pair (times, tag ids) of u's uses
-    as int64 and int32 arrays sorted by time; a hashtag's own uses keep
-    their order from ``by_user``.  The pairs are read-only slices of two
-    arrays that hold every user's uses.
+    hashtags.  ``times`` and ``ids`` are the global time column: every
+    (tweet, hashtag) use once, as int64 time and int32 tag id, in (time,
+    tweet_id) order with a tweet's hashtags sorted.  ``columns[u]`` is
+    the pair (times, tag ids) of u's uses in the same order: read-only
+    slices of one user-grouped copy of that column.  So the state as of
+    ``now`` is a prefix of a time-sorted column, and queries that take a
+    ``now`` are strict: only events with time < now count.
     """
 
-    by_user: Mapping[str, Mapping[str, list[Timestamp]]]
-    by_hashtag: Mapping[str, list[tuple[Timestamp, str]]]
-    n_events: int
     tags: tuple[str, ...]
     tag_ids: Mapping[str, int]
-    columns: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(compare=False)
+    times: np.ndarray
+    ids: np.ndarray
+    columns: Mapping[str, tuple[np.ndarray, np.ndarray]]
 
-    def user_history(self, user_id: str) -> Mapping[str, list[Timestamp]]:
-        return self.by_user.get(user_id, {})
-
-    def user_columns(self, user_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """(times, tag ids) of the user's uses; empty arrays if none."""
-        return self.columns.get(user_id, _NO_USES)
-
-    def uses(self, user_id: str, hashtag: str) -> list[Timestamp]:
-        return self.by_user.get(user_id, {}).get(hashtag, [])
+    @property
+    def n_events(self) -> int:
+        """The number of (tweet, hashtag) pairs."""
+        return self.times.size
 
     def hashtags(self) -> Iterator[str]:
-        return iter(self.by_hashtag)
+        return iter(self.tags)
 
-    def count_user_before(self, user_id: str, hashtag: str, now: Timestamp) -> int:
-        return bisect_left(self.uses(user_id, hashtag), now)
+    def uses_before(self, users: Iterable[str], now: Timestamp) -> tuple[np.ndarray, np.ndarray]:
+        """(times, tag ids) of the users' uses strictly before now, each
+        user's time-sorted slice in the order of ``users``."""
+        times: list[np.ndarray] = []
+        ids: list[np.ndarray] = []
+        for user in users:
+            user_times, user_ids = self.columns.get(user, _NO_USES)
+            cut = user_times.searchsorted(now)
+            if cut:
+                times.append(user_times[:cut])
+                ids.append(user_ids[:cut])
+        if len(times) < 2:
+            return (times[0], ids[0]) if times else _NO_USES
+        return np.concatenate(times), np.concatenate(ids)
 
     def used_before(self, user_id: str, hashtag: str, now: Timestamp) -> bool:
-        times = self.uses(user_id, hashtag)
-        return bool(times) and times[0] < now
-
-    def last_use_before(self, user_id: str, hashtag: str, now: Timestamp) -> Timestamp | None:
-        times = self.uses(user_id, hashtag)
-        pos = bisect_left(times, now)
-        return times[pos - 1] if pos else None
-
-    def count_global_before(self, hashtag: str, now: Timestamp) -> int:
-        # "" sorts before every non-empty user id, so this counts
-        # exactly the events with time strictly below now.
-        return bisect_left(self.by_hashtag.get(hashtag, []), (now, ""))
+        tag_id = self.tag_ids.get(hashtag)
+        return tag_id is not None and bool((self.uses_before((user_id,), now)[1] == tag_id).any())
 
     def anyone_used_before(self, hashtag: str, now: Timestamp) -> bool:
-        uses = self.by_hashtag.get(hashtag, [])
-        return bool(uses) and uses[0][0] < now
+        tag_id = self.tag_ids.get(hashtag)
+        return tag_id is not None and bool((self.ids[: self.times.searchsorted(now)] == tag_id).any())
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
     """Index every (user, hashtag, time) usage event.
 
-    Event lists come out ascending because tweets are processed in
-    (time, tweet_id) order.
+    One pass over the tweets in (time, tweet_id) order gives the global
+    time column; a stable sort by user cuts it into per-user columns, so
+    each user's uses, and each hashtag's among them, keep that order.
     """
     if isinstance(tweets, Corpus):
         ordered: Sequence[Tweet] = tweets.tweets
     else:
         ordered = sorted(tweets, key=Tweet.sort_key)
-    by_user: dict[str, dict[str, list[Timestamp]]] = {}
-    by_hashtag: dict[str, list[tuple[Timestamp, str]]] = {}
-    n_events = 0
+    user_codes: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    row_users: list[int] = []
+    row_times: list[Timestamp] = []
+    row_tags: list[int] = []
     for tweet in ordered:
-        for tag in sorted(tweet.hashtags):
-            by_user.setdefault(tweet.user_id, {}).setdefault(tag, []).append(tweet.time)
-            by_hashtag.setdefault(tag, []).append((tweet.time, tweet.user_id))
-            n_events += 1
-    tags = tuple(sorted(by_hashtag))
+        if tweet.hashtags:
+            code = user_codes.setdefault(tweet.user_id, len(user_codes))
+            for tag in sorted(tweet.hashtags):
+                row_users.append(code)
+                row_times.append(tweet.time)
+                row_tags.append(first_seen.setdefault(tag, len(first_seen)))
+    tags = tuple(sorted(first_seen))
     tag_ids = {tag: i for i, tag in enumerate(tags)}
-    # One pair of arrays for all users, each user's uses a contiguous
-    # slice: (user, hashtag) runs in by_user order, then sorted by user
-    # and time.  lexsort is stable, so a hashtag's uses keep their order.
-    runs = [uses for history in by_user.values() for uses in history.values()]
-    times = np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=n_events)
-    run_tags = (tag_ids[tag] for history in by_user.values() for tag in history)
-    ids = np.repeat(np.fromiter(run_tags, dtype=np.int32, count=len(runs)), [len(uses) for uses in runs])
-    sizes = [sum(map(len, history.values())) for history in by_user.values()]
-    order = np.lexsort((times, np.repeat(np.arange(len(sizes)), sizes)))
-    times, ids = times[order], ids[order]
-    times.setflags(write=False)
-    ids.setflags(write=False)
-    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    end = 0
-    for user, size in zip(by_user, sizes):
-        columns[user] = (times[end : end + size], ids[end : end + size])
-        end += size
-    return UsageIndex(
-        by_user=by_user,
-        by_hashtag=by_hashtag,
-        n_events=n_events,
-        tags=tags,
-        tag_ids=tag_ids,
-        columns=columns,
-    )
+    # Tag ids were handed out in first-seen order; map them to sorted order.
+    interned = np.fromiter(map(tag_ids.__getitem__, first_seen), dtype=np.int32, count=len(tags))
+    times = np.array(row_times, dtype=np.int64)
+    ids = interned[np.array(row_tags, dtype=np.intp)]
+    users = np.array(row_users, dtype=np.intp)
+    order = users.argsort(kind="stable")
+    user_times, user_ids = _frozen(times[order]), _frozen(ids[order])
+    ends = np.cumsum(np.bincount(users, minlength=len(user_codes))).tolist()
+    columns = {
+        user: (user_times[start:end], user_ids[start:end])
+        for user, start, end in zip(user_codes, [0] + ends, ends)
+    }
+    return UsageIndex(tags=tags, tag_ids=tag_ids, times=_frozen(times), ids=_frozen(ids), columns=columns)
 
 
 def tweet_to_record(tweet: Tweet) -> dict:

@@ -1,5 +1,7 @@
 """Frequency and recency baselines."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,78 @@ class TestAgreementWithActivationLimits:
             recency = [t for t, _ in most_recent(index, "u1", 1000, k=20)]
             bll = [t for t, _ in recommend_bll_is(index, graph, "u1", 1000, params, k=20)]
             assert recency == bll
+
+
+def recount(tweets, users, now):
+    """Every hashtag's uses by ``users`` (None: by anyone) strictly
+    before now, counted and last-timed from the raw tweets."""
+    counts: Counter = Counter()
+    last: dict[str, int] = {}
+    for tweet in tweets:
+        if tweet.time < now and (users is None or tweet.user_id in users):
+            counts.update(tweet.hashtags)
+            for tag in tweet.hashtags:
+                last[tag] = max(last.get(tag, tweet.time), tweet.time)
+    return counts, last
+
+
+def ranked(scores, k):
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+class TestAgainstBruteForceRecount:
+    """All four baselines against a pure-Python recount on random corpora.
+
+    The corpora have repeated timestamps, uses exactly at ``now``, an
+    unknown user, users without followees, followees sharing hashtags,
+    and non-ASCII hashtags whose ties must break in code-point order.
+    """
+
+    TAGS = ["a", "b", "z", "Z", "é", "ω", "日本", "zz"]
+    USERS = ["u0", "u1", "u2", "u3", "ghost"]
+
+    def random_corpus(self, rng):
+        tweets = [
+            Tweet(
+                tweet_id=f"t{i:03d}",
+                user_id=self.USERS[int(rng.integers(4))],
+                time=int(rng.integers(0, 30)),
+                hashtags=frozenset(
+                    self.TAGS[int(j)] for j in rng.integers(0, len(self.TAGS), size=int(rng.integers(1, 4)))
+                ),
+            )
+            for i in range(int(rng.integers(0, 60)))
+        ]
+        # u3 and ghost follow nobody.
+        graph = FollowGraph(edges={
+            u: frozenset(v for v in self.USERS if v != u and rng.random() < 0.6)
+            for u in self.USERS[:3]
+        })
+        return tweets, graph
+
+    def test_rankings_equal_the_recount(self):
+        rng = np.random.default_rng(1908)
+        for _ in range(200):
+            tweets, graph = self.random_corpus(rng)
+            index = build_usage_index(build_corpus(tweets, graph))
+            # now often equals a use time, whose uses must then not count.
+            if tweets and rng.random() < 0.5:
+                now = int(rng.choice([t.time for t in tweets]))
+            else:
+                now = int(rng.integers(0, 35))
+            for k in (1, 3, 50):
+                overall, _ = recount(tweets, None, now)
+                assert mp_global(index, now, k) == ranked({t: float(c) for t, c in overall.items()}, k)
+                for user in self.USERS:
+                    own, last = recount(tweets, {user}, now)
+                    social, _ = recount(tweets, graph.followees(user), now)
+                    assert mp_user(index, user, now, k) == ranked({t: float(c) for t, c in own.items()}, k)
+                    assert mp_social(index, graph, user, now, k) == ranked(
+                        {t: float(c) for t, c in social.items()}, k
+                    )
+                    assert most_recent(index, user, now, k) == ranked(
+                        {t: -float(now - time) for t, time in last.items()}, k
+                    )
 
 
 class TestSharedContracts:

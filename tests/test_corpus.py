@@ -246,7 +246,9 @@ class TestUsageIndex:
             make_tweet("t2", "u1", 1, ["nlp"]),
         ]
         index = build_usage_index(build_corpus(tweets))
-        assert index.uses("u1", "nlp") == [1, 5]
+        times, ids = index.uses_before(["u1"], 10)
+        assert times.tolist() == [1, 5]
+        assert [index.tags[i] for i in ids] == ["nlp", "nlp"]
 
     def test_event_count_matches_assignment_count(self):
         rng = np.random.default_rng(42)
@@ -271,7 +273,8 @@ class TestUsageIndex:
             make_tweet("t3", "u1", 3, ["a"]),
         ]
         index = build_usage_index(build_corpus(tweets))
-        assert index.by_hashtag["a"] == [(1, "u1"), (2, "u2"), (3, "u1")]
+        assert index.times.tolist() == [1, 1, 2, 3]
+        assert [index.tags[i] for i in index.ids] == ["a", "b", "a", "a"]
         assert index.n_events == 4
 
     def test_empty_corpus_empty_index(self):
@@ -284,11 +287,10 @@ class TestUsageIndex:
         index = build_usage_index(build_corpus(tweets))
         assert not index.used_before("u1", "a", 10)
         assert index.used_before("u1", "a", 11)
-        assert index.count_user_before("u1", "a", 10) == 0
-        assert index.count_global_before("a", 10) == 0
-        assert index.count_global_before("a", 11) == 1
-        assert index.last_use_before("u1", "a", 10) is None
-        assert index.last_use_before("u1", "a", 11) == 10
+        assert not index.anyone_used_before("a", 10)
+        assert index.anyone_used_before("a", 11)
+        assert index.uses_before(["u1"], 10)[0].tolist() == []
+        assert index.uses_before(["u1"], 11)[0].tolist() == [10]
 
 
 class TestRoundTrip:

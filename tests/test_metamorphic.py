@@ -5,7 +5,10 @@ and only time differences matter to it.  So:
 
 - shifting every timestamp and ``now`` by one constant leaves its
   output unchanged, bit for bit;
-- appending tweets at or after ``now`` leaves its output unchanged.
+- appending tweets at or after ``now`` leaves its output unchanged;
+- relabelling users and hashtags with an order-preserving map maps its
+  output to match, because ties break by hashtag and followees are
+  pooled in user order.
 
 ``bll_isc`` is left out: its content profile counts every training
 tweet, also those at or after the query time, so appended tweets can
@@ -45,13 +48,17 @@ graphs = st.dictionaries(st.sampled_from(USERS), st.frozensets(st.sampled_from(U
 )
 
 
-def outputs(rows, graph, now):
+def outputs(rows, graph, now, users=USERS):
     tweets = [Tweet(f"t{i:03d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
     index = build_usage_index(build_corpus(tweets, graph))
     return {
-        name: [recommend(index, graph, user, now) for user in USERS]
+        name: [recommend(index, graph, user, now) for user in users]
         for name, recommend in RECOMMENDERS.items()
     }
+
+
+def sorted_labels(n):
+    return st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True).map(sorted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,3 +86,25 @@ def test_shifting_every_time_changes_nothing(rows, graph, now, shift):
 def test_tweets_at_or_after_now_change_nothing(rows, graph, now, late):
     appended = rows + [(user, now + offset, tags) for user, offset, tags in late]
     assert outputs(appended, graph, now) == outputs(rows, graph, now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=rows,
+    graph=graphs,
+    now=st.integers(0, 1_100),
+    user_labels=sorted_labels(len(USERS)),
+    tag_labels=sorted_labels(len(TAGS)),
+)
+def test_order_preserving_relabelling_maps_the_outputs(rows, graph, now, user_labels, tag_labels):
+    user_map = dict(zip(sorted(USERS), user_labels))
+    tag_map = dict(zip(sorted(TAGS), tag_labels))
+    relabelled_rows = [(user_map[user], time, frozenset(map(tag_map.get, tags))) for user, time, tags in rows]
+    relabelled_graph = FollowGraph(
+        edges={user_map[u]: frozenset(map(user_map.get, vs)) for u, vs in graph.edges.items()}
+    )
+    expected = {
+        name: [[(tag_map[tag], score) for tag, score in ranked] for ranked in per_user]
+        for name, per_user in outputs(rows, graph, now).items()
+    }
+    assert outputs(relabelled_rows, relabelled_graph, now, [user_map[u] for u in USERS]) == expected
