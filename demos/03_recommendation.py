@@ -16,7 +16,6 @@ from hashrec import (
     Tweet,
     build_corpus,
     build_profiles,
-    build_usage_index,
     recommend_bll_is,
     recommend_bll_isc,
 )
@@ -36,7 +35,7 @@ tweets = [
 ]
 graph = FollowGraph(edges={"alice": frozenset({"bob"})})
 corpus = build_corpus(tweets, graph)
-index = build_usage_index(corpus)
+index = corpus.index
 now = 48 * HOUR
 
 print("alice's history: #python x3 (two days old), #rust x1 (an hour old)")

@@ -136,7 +136,8 @@ def _activations(
 
     ``bincount`` adds every hashtag's terms in the order of
     ``UsageIndex.uses_before``, so they sum in the order of the scalar
-    definition.
+    definition.  A sum whose every term underflows to 0 is taken as the
+    log-sum-exp of -d * ln(age), so its hashtag ranks last.
     """
     times, ids = index.uses_before(users, now)
     if not ids.size:
@@ -144,11 +145,15 @@ def _activations(
     present, inverse = np.unique(ids, return_inverse=True)
     # float(now) - t is float(now - t) for times below 2**53, and it
     # cannot overflow int64 the way now - t can.
-    terms = np.maximum(float(now) - times, min_age) ** -d
-    sums = np.bincount(inverse, terms)
-    if not sums.all():
-        raise ValueError("activation underflows to zero: the decay exponent is too large for these ages")
-    return TagScores(index.tags, present, np.log(sums))
+    ages = np.maximum(float(now) - times, min_age)
+    sums = np.bincount(inverse, ages**-d)
+    if sums.all():
+        return TagScores(index.tags, present, np.log(sums))
+    logs = -d * np.log(ages)
+    peak = np.full(sums.size, -np.inf)
+    np.maximum.at(peak, inverse, logs)
+    log_sum_exp = peak + np.log(np.bincount(inverse, np.exp(logs - peak[inverse])))
+    return TagScores(index.tags, present, np.log(sums, out=log_sum_exp, where=sums > 0))
 
 
 def individual_activations(

@@ -22,7 +22,6 @@ from hashrec.corpus import (
     Corpus,
     CorpusError,
     build_corpus,
-    build_usage_index,
     chronological_split,
     load_follows,
     load_tweets,
@@ -231,22 +230,14 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         raise UsageError("--k must be >= 1")
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
-    index = build_usage_index(corpus)
     if args.text is not None:
         profile = build_profiles(corpus)
         ranked = recommend_bll_isc(
-            index,
-            corpus.graph,
-            profile,
-            args.user,
-            args.now,
-            tokenize(args.text),
-            params,
-            args.lambda_weight,
-            args.k,
+            corpus.index, corpus.graph, profile, args.user, args.now, tokenize(args.text),
+            params, args.lambda_weight, args.k,
         )
     else:
-        ranked = recommend_bll_is(index, corpus.graph, args.user, args.now, params, args.k)
+        ranked = recommend_bll_is(corpus.index, corpus.graph, args.user, args.now, params, args.k)
     payload = [{"hashtag": tag, "score": score} for tag, score in ranked]
     print(json.dumps(payload, indent=2))
     return EXIT_OK

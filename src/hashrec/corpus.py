@@ -11,6 +11,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +107,11 @@ class Corpus:
         if len(self.tweets) < 2:
             return 0
         return self.tweets[-1].time - self.tweets[0].time
+
+    @cached_property
+    def index(self) -> UsageIndex:
+        """The tweets' usage index, built once; not a field, so == and hash ignore it."""
+        return build_usage_index(self)
 
 
 def _require(condition: bool, line_no: int, message: str) -> None:

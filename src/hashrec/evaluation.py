@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from hashrec.activation import ActivationParams, ScoredList, recommend_bll_is
 from hashrec.baselines import most_recent, mp_global, mp_social, mp_user
 from hashrec.content import TokenHashtagProfile, build_profiles, recommend_bll_isc
-from hashrec.corpus import Corpus, Tweet, UsageIndex, build_usage_index
+from hashrec.corpus import Corpus, Tweet, UsageIndex
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +198,7 @@ def run_eval(
     if leaked:
         raise ValueError(f"test tweet(s) also present in training data: {', '.join(leaked[:5])}")
 
-    index = build_usage_index(train)
+    index = train.index
     profile: TokenHashtagProfile | None = None
     if scenario == 2 or "bll_isc" in algorithms:
         profile = build_profiles(train)

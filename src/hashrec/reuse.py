@@ -5,6 +5,9 @@ picked up: the user's own earlier tweets, the earlier tweets of accounts
 they follow, both, anywhere else in the corpus, or nowhere (first ever
 use).  Reuse ages are then histogrammed on a log-spaced grid and fit
 with a straight line in log-log space to estimate the decay exponent.
+Both read the usage columns of ``Corpus.index`` per user with numpy
+(``_earlier_uses``); ``categorize_assignment`` is the per-assignment
+definition the tests check them against.
 """
 
 from __future__ import annotations
@@ -12,15 +15,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
-from hashrec.corpus import Corpus, FollowGraph, Timestamp, Tweet, UsageIndex
+from hashrec.corpus import Corpus, FollowGraph, Timestamp, UsageIndex
 
 BUCKETS_PER_DECADE = 20
 
 TIME_UNIT_SECONDS = {"seconds": 1, "hours": 3600, "days": 86400}
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
 class ReuseCategory(enum.Enum):
@@ -55,7 +60,7 @@ def categorize_assignment(
 
 
 def _category(own: bool, social: bool, anywhere: bool) -> ReuseCategory:
-    """The five-way rule shared by the oracle and the streaming counter."""
+    """The five-way rule shared by the oracle and ``category_distribution``."""
     if own:
         return ReuseCategory.INDIVIDUAL_SOCIAL if social else ReuseCategory.INDIVIDUAL
     if social:
@@ -63,40 +68,54 @@ def _category(own: bool, social: bool, anywhere: bool) -> ReuseCategory:
     return ReuseCategory.NETWORK if anywhere else ReuseCategory.EXTERNAL
 
 
-def _time_batches(tweets: tuple[Tweet, ...]) -> Iterator[list[Tweet]]:
-    """Yield runs of same-timestamp tweets, in chronological order."""
-    batch: list[Tweet] = []
-    for tweet in tweets:
-        if batch and tweet.time != batch[0].time:
-            yield batch
-            batch = []
-        batch.append(tweet)
-    if batch:
-        yield batch
+def _earlier_uses(corpus: Corpus, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The corpus's distinct times, every use's time rank and tag id, and
+    per kind the time rank of the latest strictly earlier use of the tag
+    (negative if none) in the user's column ("individual") or in the
+    followees' columns ("social").  Uses pack into int64 keys ``tag *
+    len(distinct) + rank``, so a sorted history groups by tag, then time,
+    and a "left" search for a use's key lands just past that earlier
+    use; a use in the same second has the same key and does not count.
+    """
+    index = corpus.index
+    times = index.times
+    # The column is sorted, so each distinct time starts a run; np.unique would hash it.
+    distinct = times[np.concatenate(([True], times[1:] != times[:-1]))[: times.size]]
+    stride = max(distinct.size, 1)
+    keys = {
+        user: np.sort(ids.astype(np.int64) * stride + distinct.searchsorted(user_times))
+        for user, (user_times, ids) in index.columns.items()
+    }
+    latest: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    for user, own in keys.items():
+        for kind in kinds:
+            sources = [own] if kind == "individual" else [keys[f] for f in corpus.graph.followees(user) if f in keys]
+            # -1 is below every key: a use with no earlier one finds it.
+            history = np.concatenate([[-1], *sources])
+            if len(sources) > 1:
+                history.sort()
+            latest[kind].append(history[history.searchsorted(own) - 1])
+    uses = np.concatenate([_NO_KEYS, *keys.values()])
+    tag, rank = np.divmod(uses, stride)
+    return distinct, rank, tag, [np.concatenate([_NO_KEYS, *latest[kind]]) - (uses - rank) for kind in kinds]
 
 
 def category_distribution(corpus: Corpus) -> dict[ReuseCategory, tuple[int, float]]:
     """Count and share of every category over all hashtag assignments.
 
-    Processes tweets chronologically so each assignment is judged only
-    against strictly earlier events; same-timestamp tweets are batched
-    and cannot see each other.  All five categories appear in the
-    result; shares are zero for an empty corpus.
+    Each assignment is judged only against strictly earlier events, so
+    same-timestamp tweets cannot see each other.  It gets a 3-bit code
+    (own earlier use, followee earlier use, first global use earlier);
+    a ``bincount`` counts the codes and ``_category`` maps all eight.
+    All five categories appear; shares are zero for an empty corpus.
     """
-    own_used: dict[str, set[str]] = {}
-    any_used: set[str] = set()
+    index = corpus.index
+    distinct, rank, tag, (own, social) = _earlier_uses(corpus, ("individual", "social"))
+    _, first = np.unique(index.ids, return_index=True)
+    codes = 4 * (own >= 0) + 2 * (social >= 0) + (distinct.searchsorted(index.times[first])[tag] < rank)
     counts = {category: 0 for category in ReuseCategory}
-    for batch in _time_batches(corpus.tweets):
-        for tweet in batch:
-            followees = corpus.graph.followees(tweet.user_id)
-            for tag in tweet.hashtags:
-                own = tag in own_used.get(tweet.user_id, ())
-                social = any(tag in own_used.get(f, ()) for f in followees)
-                counts[_category(own, social, tag in any_used)] += 1
-        for tweet in batch:
-            for tag in tweet.hashtags:
-                own_used.setdefault(tweet.user_id, set()).add(tag)
-                any_used.add(tag)
+    for code, count in enumerate(np.bincount(codes, minlength=8).tolist()):
+        counts[_category(bool(code & 4), bool(code & 2), bool(code & 1))] += count
     total = sum(counts.values())
     return {
         category: (count, count / total if total else 0.0)
@@ -149,29 +168,11 @@ def log_bucket_edges(
     return np.power(10.0, exponents)
 
 
-def _reuse_ages(corpus: Corpus, kind: str) -> list[float]:
-    """Ages (seconds) between each assignment and the most recent
-    strictly earlier use in the relevant history."""
-    last: dict[str, dict[str, Timestamp]] = {}
-    ages: list[float] = []
-    for batch in _time_batches(corpus.tweets):
-        for tweet in batch:
-            sources = (tweet.user_id,) if kind == "individual" else corpus.graph.followees(tweet.user_id)
-            for tag in tweet.hashtags:
-                best: Timestamp | None = None
-                for user in sources:
-                    history = last.get(user)
-                    if history is not None:
-                        time = history.get(tag)
-                        if time is not None and (best is None or time > best):
-                            best = time
-                if best is not None:
-                    ages.append(float(tweet.time - best))
-        for tweet in batch:
-            user_last = last.setdefault(tweet.user_id, {})
-            for tag in tweet.hashtags:
-                user_last[tag] = tweet.time
-    return ages
+def _reuse_ages(corpus: Corpus, kind: str) -> np.ndarray:
+    """Seconds from each reuse of the kind back to the latest earlier use."""
+    distinct, rank, _, (previous,) = _earlier_uses(corpus, (kind,))
+    found = previous >= 0
+    return (distinct[rank[found]] - distinct[previous[found]]).astype(float)
 
 
 def reuse_age_histogram(
@@ -199,12 +200,9 @@ def reuse_age_histogram(
             f"time unit {time_unit!r} is coarser than the corpus span "
             f"({corpus.span_seconds()} s)"
         )
-    ages = np.array(_reuse_ages(corpus, kind), dtype=float) / unit
-    ages = np.maximum(ages, 1.0)
-    if ages.size == 0:
-        edges = log_bucket_edges(1.0, 10.0 ** (1.0 / buckets_per_decade), buckets_per_decade)
-        return AgeHistogram(edges=edges, counts=np.zeros(len(edges) - 1, dtype=int), time_unit=time_unit)
-    edges = log_bucket_edges(float(ages.min()), float(ages.max()), buckets_per_decade)
+    ages = np.maximum(_reuse_ages(corpus, kind) / unit, 1.0)
+    lo, hi = (float(ages.min()), float(ages.max())) if ages.size else (1.0, 10.0 ** (1.0 / buckets_per_decade))
+    edges = log_bucket_edges(lo, hi, buckets_per_decade)
     counts, _ = np.histogram(ages, bins=edges)
     return AgeHistogram(edges=edges, counts=counts.astype(int), time_unit=time_unit)
 

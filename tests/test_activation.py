@@ -86,11 +86,24 @@ class TestIndividualActivations:
         acts = individual_activations(index, "u1", 10)
         assert set(acts) == {"b"}
 
-    def test_underflowing_activation_rejected(self):
-        # 1e6 ** -60 is below the smallest double, so the sum is 0.
-        index = index_of(("u1", 0, ["a"]), ("u1", 999_990, ["b"]))
-        with pytest.raises(ValueError, match="underflow"):
-            individual_activations(index, "u1", 1_000_000, ActivationParams(d_individual=60.0))
+    def test_underflowing_activation_ranks_last(self):
+        # 1e6 ** -60 is below the smallest double, so the sum of "a" is
+        # 0; it is taken in log space and ranks below "b" and "c".
+        index = index_of(
+            ("u1", 0, ["a"]), ("u1", 10, ["a"]), ("u1", 999_990, ["b"]), ("u1", 999_000, ["c"])
+        )
+        params = ActivationParams(d_individual=60.0, beta=1.0)
+        acts = individual_activations(index, "u1", 1_000_000, params)
+        np.testing.assert_allclose(
+            acts["a"], math.log(2.0) + 60 * math.log(1.0 / 999_995), rtol=1e-3
+        )
+        # The sums that do not underflow keep their bits.
+        without_a = individual_activations(
+            index_of(("u1", 999_990, ["b"]), ("u1", 999_000, ["c"])), "u1", 1_000_000, params
+        )
+        assert (acts["b"], acts["c"]) == (without_a["b"], without_a["c"])
+        ranked = recommend_bll_is(index, FollowGraph(), "u1", 1_000_000, params, k=3)
+        assert [tag for tag, _ in ranked] == ["b", "c", "a"]
 
     def test_min_age_clamp(self):
         index = index_of(("u1", 8, ["a"]), ("u1", 9, ["a"]))

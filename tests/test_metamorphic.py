@@ -10,6 +10,9 @@ and only time differences matter to it.  So:
   output to match, because ties break by hashtag and followees are
   pooled in user order.
 
+The reuse analysis (categories and both age histograms) also depends
+on time differences only, so the shift leaves it unchanged too.
+
 ``bll_isc`` is left out: its content profile counts every training
 tweet, also those at or after the query time, so appended tweets can
 change its ranking (ROADMAP item 2).
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from hashrec.activation import ActivationParams, recommend_bll_is
 from hashrec.baselines import most_recent, mp_global, mp_social, mp_user
 from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index
+from hashrec.reuse import category_distribution, reuse_age_histogram
 
 K = 5
 PARAMS = ActivationParams(d_individual=0.6, d_social=0.4, beta=0.3, min_age=2.0)
@@ -66,6 +70,29 @@ def sorted_labels(n):
 def test_shifting_every_time_changes_nothing(rows, graph, now, shift):
     shifted = [(user, time + shift, tags) for user, time, tags in rows]
     assert outputs(shifted, graph, now + shift) == outputs(rows, graph, now)
+
+
+def analysis(rows, graph):
+    tweets = [Tweet(f"t{i:03d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+    corpus = build_corpus(tweets, graph)
+    hists = []
+    for kind in ("individual", "social"):
+        try:
+            hist = reuse_age_histogram(corpus, kind)
+        except ValueError as exc:  # every tweet in one second: the span check refuses
+            hists.append(str(exc))
+        else:
+            hists.append((hist.edges.tolist(), hist.counts.tolist()))
+    return category_distribution(corpus), hists
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=rows, graph=graphs, shift=st.integers(1, 2**40))
+def test_shifting_every_time_leaves_the_reuse_analysis_unchanged(rows, graph, shift):
+    # Shifts past 2**32 would break a key that packs the time into the
+    # low 32 bits.
+    shifted = [(user, time + shift, tags) for user, time, tags in rows]
+    assert analysis(shifted, graph) == analysis(rows, graph)
 
 
 @settings(max_examples=150, deadline=None)

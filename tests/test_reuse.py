@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index
 from hashrec.reuse import (
     AgeHistogram,
     ReuseCategory,
+    _reuse_ages,
     categorize_assignment,
     category_distribution,
     fit_power_law,
@@ -25,6 +28,53 @@ def corpus_of(rows, edges=None):
     """rows: (tweet_id, user_id, time, hashtags)."""
     graph = FollowGraph(edges={u: frozenset(vs) for u, vs in (edges or {}).items()})
     return build_corpus([make_tweet(*row) for row in rows], graph)
+
+
+def recount_ages(corpus, kind):
+    """Every reuse age of the kind, by a scan of all tweets per assignment."""
+    ages = []
+    for tweet in corpus.tweets:
+        if kind == "individual":
+            sources = {tweet.user_id}
+        else:
+            sources = corpus.graph.followees(tweet.user_id)
+        for tag in tweet.hashtags:
+            prior = [t.time for t in corpus.tweets
+                     if t.user_id in sources and t.time < tweet.time and tag in t.hashtags]
+            if prior:
+                ages.append(tweet.time - max(prior))
+    return ages
+
+
+def recount_categories(corpus):
+    """Every assignment categorized against an index of strictly earlier tweets."""
+    counts = {category: 0 for category in ReuseCategory}
+    for tweet in corpus.tweets:
+        prefix = build_usage_index([t for t in corpus.tweets if t.time < tweet.time])
+        for tag in tweet.hashtags:
+            counts[categorize_assignment(prefix, corpus.graph, tweet.user_id, tag, tweet.time)] += 1
+    return counts
+
+
+# "quiet" is only followed and never tweets; "mute" tweets without
+# hashtags, so it has no usage column; "u3" follows nobody.
+corpora = st.builds(
+    lambda rows, edges: corpus_of(
+        [(f"t{i:03d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)], edges
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["u0", "u1", "u2", "u3", "mute"]),
+            st.integers(0, 30),
+            st.frozensets(st.sampled_from(["a", "b", "c"]), max_size=3),
+        ).map(lambda row: row if row[0] != "mute" else (row[0], row[1], frozenset())),
+        max_size=40,
+    ),
+    st.dictionaries(
+        st.sampled_from(["u0", "u1", "u2"]),
+        st.frozensets(st.sampled_from(["u0", "u1", "u2", "u3", "mute", "quiet"]), max_size=4),
+    ).map(lambda edges: {u: vs - {u} for u, vs in edges.items()}),
+)
 
 
 class TestCategorizeAssignment:
@@ -135,15 +185,14 @@ class TestCategoryDistribution:
             edges = {f"u{a}": [f"u{b}" for b in range(5) if b != a and rng.random() < 0.3]
                      for a in range(5)}
             corpus = corpus_of(rows, edges)
-            brute = {category: 0 for category in ReuseCategory}
-            for tweet in corpus.tweets:
-                prefix = build_usage_index([t for t in corpus.tweets if t.time < tweet.time])
-                for tag in tweet.hashtags:
-                    brute[
-                        categorize_assignment(prefix, corpus.graph, tweet.user_id, tag, tweet.time)
-                    ] += 1
             streamed = {cat: count for cat, (count, _) in category_distribution(corpus).items()}
-            assert streamed == brute
+            assert streamed == recount_categories(corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora)
+    def test_columns_match_recategorization_on_random_corpora(self, corpus):
+        streamed = {cat: count for cat, (count, _) in category_distribution(corpus).items()}
+        assert streamed == recount_categories(corpus)
 
 
 class TestLogBucketEdges:
@@ -250,17 +299,7 @@ class TestReuseAgeHistogram:
                      for a in range(n_users)}
             corpus = corpus_of(rows, edges)
             for kind in ("individual", "social"):
-                ages = []
-                for tweet in corpus.tweets:
-                    if kind == "individual":
-                        sources = {tweet.user_id}
-                    else:
-                        sources = corpus.graph.followees(tweet.user_id)
-                    for tag in tweet.hashtags:
-                        prior = [t.time for t in corpus.tweets
-                                 if t.user_id in sources and t.time < tweet.time and tag in t.hashtags]
-                        if prior:
-                            ages.append(tweet.time - max(prior))
+                ages = recount_ages(corpus, kind)
                 hist = reuse_age_histogram(corpus, kind)
                 if not ages:
                     assert hist.counts.sum() == 0
@@ -271,6 +310,31 @@ class TestReuseAgeHistogram:
                 )
                 expected, _ = np.histogram(np.array(ages, dtype=float), bins=hist.edges)
                 np.testing.assert_array_equal(hist.counts, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora)
+    def test_column_ages_match_recount_on_random_corpora(self, corpus):
+        for kind in ("individual", "social"):
+            assert sorted(_reuse_ages(corpus, kind).tolist()) == sorted(recount_ages(corpus, kind))
+
+
+class TestCorpusIndex:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus=corpora)
+    def test_index_is_built_once_and_is_not_part_of_the_value(self, corpus):
+        twin = build_corpus(corpus.tweets, corpus.graph)
+
+        def identity(c):
+            try:
+                hashed = hash(c)
+            except TypeError as exc:  # a dict-backed follow graph is unhashable
+                hashed = str(exc)
+            return c == twin, twin == c, repr(c), hashed
+
+        before = identity(corpus)
+        assert corpus.index is corpus.index
+        assert identity(corpus) == before
+        assert before[:2] == (True, True)
 
 
 class TestFitPowerLaw:
