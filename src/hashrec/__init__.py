@@ -49,6 +49,7 @@ from hashrec.content import (
     TokenHashtagProfile,
     build_profiles,
     content_scores,
+    profiles_before,
     recommend_bll_isc,
 )
 from hashrec.baselines import (
@@ -113,6 +114,7 @@ __all__ = [
     "parse_tweets",
     "pr_curve",
     "precision_at_k",
+    "profiles_before",
     "query_metrics",
     "rank_top_k",
     "recall_at_k",

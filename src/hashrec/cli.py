@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from hashrec.activation import ActivationParams, recommend_bll_is
-from hashrec.content import build_profiles, recommend_bll_isc
+from hashrec.content import profiles_before, recommend_bll_isc
 from hashrec.corpus import (
     Corpus,
     CorpusError,
@@ -231,7 +231,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
     if args.text is not None:
-        profile = build_profiles(corpus)
+        profile = next(profiles_before(corpus, [args.now]))
         ranked = recommend_bll_isc(
             corpus.index, corpus.graph, profile, args.user, args.now, tokenize(args.text),
             params, args.lambda_weight, args.k,

@@ -1,11 +1,12 @@
 """Content-aware scoring from token-to-hashtag co-occurrence.
 
-Training tweets with text build a token/hashtag profile: document
-frequencies for idf and co-occurrence counts linking tokens to the
-hashtags they appeared with.  At query time the tweet's tokens vote for
-hashtags with tf-idf weight, spread over each token's associated tags.
-The hybrid recommender blends this content score into the activation
-mix so users with thin histories still get ranked candidates.
+Training tweets with text strictly before the query time build a
+token/hashtag profile: document frequencies for idf and co-occurrence
+counts linking tokens to the hashtags they appeared with.  The query
+tweet's tokens vote for hashtags with tf-idf weight, spread over each
+token's associated tags.  The hybrid recommender blends this content
+score into the activation mix so users with thin histories still get
+ranked candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,34 +46,38 @@ class TokenHashtagProfile:
     assoc_total: Mapping[str, int]
 
 
-def build_profiles(train: Corpus) -> TokenHashtagProfile:
-    """Count df and token-hashtag co-occurrence over training tweets.
+def profiles_before(train: Corpus, times: Iterable[float]) -> Iterator[TokenHashtagProfile]:
+    """For each of the ascending ``times``, the profile of the training
+    tweets strictly before it, all from one forward pass.
 
-    Tweets without tokens are skipped entirely; tweets with tokens but
-    no hashtags still raise doc_count and df so idf stays honest.
-    Tokens are counted once per tweet (document frequency).
+    Tweets without tokens are skipped; tweets with tokens but no
+    hashtags still raise doc_count and df so idf stays honest.  Tokens
+    count once per tweet.  A yielded profile shares its counters with
+    the next one, and is valid until that one is drawn.
     """
-    doc_count = 0
-    df: Counter[str] = Counter()
+    tweets, pos, doc_count, previous = train.tweets, 0, 0, -math.inf
+    df: dict[str, int] = {}
     assoc: dict[str, Counter[str]] = {}
-    for tweet in train.tweets:
-        if not tweet.tokens:
-            continue
-        doc_count += 1
-        distinct = set(tweet.tokens)
-        df.update(distinct)
-        if tweet.hashtags:
-            for token in distinct:
-                counter = assoc.setdefault(token, Counter())
-                for hashtag in tweet.hashtags:
-                    counter[hashtag] += 1
-    assoc_total = {token: sum(counter.values()) for token, counter in assoc.items()}
-    return TokenHashtagProfile(
-        doc_count=doc_count,
-        df=dict(df),
-        assoc={token: dict(counter) for token, counter in assoc.items()},
-        assoc_total=assoc_total,
-    )
+    assoc_total: dict[str, int] = {}
+    for now in times:
+        if now < previous:
+            raise ValueError(f"times must be ascending, but {now!r} follows {previous!r}")
+        previous = now
+        while pos < len(tweets) and tweets[pos].time < now:
+            tweet, pos = tweets[pos], pos + 1
+            if tweet.tokens:
+                doc_count += 1
+                for token in set(tweet.tokens):
+                    df[token] = df.get(token, 0) + 1
+                    if tweet.hashtags:
+                        assoc.setdefault(token, Counter()).update(tweet.hashtags)
+                        assoc_total[token] = assoc_total.get(token, 0) + len(tweet.hashtags)
+        yield TokenHashtagProfile(doc_count, df, assoc, assoc_total)
+
+
+def build_profiles(train: Corpus) -> TokenHashtagProfile:
+    """The profile of every training tweet."""
+    return next(profiles_before(train, [math.inf]))
 
 
 def idf(profile: TokenHashtagProfile, token: str) -> float:

@@ -12,12 +12,13 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from functools import reduce
+from itertools import repeat
 from operator import add
 from typing import Callable, Mapping, Sequence
 
 from hashrec.activation import ActivationParams, ScoredList, recommend_bll_is
 from hashrec.baselines import most_recent, mp_global, mp_social, mp_user
-from hashrec.content import TokenHashtagProfile, build_profiles, recommend_bll_isc
+from hashrec.content import TokenHashtagProfile, profiles_before, recommend_bll_isc
 from hashrec.corpus import Corpus, Tweet, UsageIndex
 
 logger = logging.getLogger(__name__)
@@ -139,20 +140,21 @@ def pr_curve(report: EvalReport) -> list[tuple[int, float, float]]:
 def _make_recommenders(
     index: UsageIndex,
     graph,
-    profile: TokenHashtagProfile | None,
     params: ActivationParams,
     lambda_weight: float,
     k_max: int,
-) -> Mapping[str, Callable[[Tweet, Sequence[str] | None], ScoredList]]:
+) -> Mapping[str, Callable[[Tweet, TokenHashtagProfile | None], ScoredList]]:
+    # A query comes with a profile only in scenario 2; without one, it
+    # shows no text.
     return {
-        "bll_is": lambda q, tokens: recommend_bll_is(index, graph, q.user_id, q.time, params, k_max),
-        "bll_isc": lambda q, tokens: recommend_bll_isc(
-            index, graph, profile, q.user_id, q.time, tokens, params, lambda_weight, k_max
+        "bll_is": lambda q, profile: recommend_bll_is(index, graph, q.user_id, q.time, params, k_max),
+        "bll_isc": lambda q, profile: recommend_bll_isc(
+            index, graph, profile, q.user_id, q.time, q.tokens if profile else None, params, lambda_weight, k_max
         ),
-        "mp": lambda q, tokens: mp_global(index, q.time, k_max),
-        "mp_u": lambda q, tokens: mp_user(index, q.user_id, q.time, k_max),
-        "mp_s": lambda q, tokens: mp_social(index, graph, q.user_id, q.time, k_max),
-        "mr": lambda q, tokens: most_recent(index, q.user_id, q.time, k_max),
+        "mp": lambda q, profile: mp_global(index, q.time, k_max),
+        "mp_u": lambda q, profile: mp_user(index, q.user_id, q.time, k_max),
+        "mp_s": lambda q, profile: mp_social(index, graph, q.user_id, q.time, k_max),
+        "mr": lambda q, profile: most_recent(index, q.user_id, q.time, k_max),
     }
 
 
@@ -169,7 +171,8 @@ def run_eval(
     """Evaluate the named algorithms over the held-out queries.
 
     Scenario 1 hides query text (history-only); scenario 2 passes the
-    query tweet's tokens to content-capable algorithms.  Queries run in
+    query tweet's tokens, and the profile of the training tweets strictly
+    before it, to content-capable algorithms.  Queries run in
     (time, tweet_id) order regardless of input order, and per-query
     rows are reduced in that same order, so results do not depend on
     the test sequence ordering.  ``threads`` is checked and otherwise
@@ -198,28 +201,16 @@ def run_eval(
     if leaked:
         raise ValueError(f"test tweet(s) also present in training data: {', '.join(leaked[:5])}")
 
-    index = train.index
-    profile: TokenHashtagProfile | None = None
-    if scenario == 2 or "bll_isc" in algorithms:
-        profile = build_profiles(train)
-    if scenario == 2:
-        has_text = (profile is not None and profile.doc_count > 0) or any(
-            q.tokens for q in queries
-        )
-        if not has_text:
-            raise ValueError("scenario 2 requires text, but neither training nor test tweets have any")
+    if scenario == 2 and not any(t.tokens for part in (train.tweets, queries) for t in part):
+        raise ValueError("scenario 2 requires text, but neither training nor test tweets have any")
+    profiles = profiles_before(train, [q.time for q in queries]) if scenario == 2 else repeat(None)
 
-    recommenders = _make_recommenders(index, train.graph, profile, params, lambda_weight, k_max)
+    recommenders = _make_recommenders(train.index, train.graph, params, lambda_weight, k_max)
 
-    def evaluate_query(query: Tweet) -> dict[str, dict]:
-        tokens = query.tokens if scenario == 2 else None
-        rows: dict[str, dict] = {}
-        for name in algorithms:
-            recommended = recommenders[name](query, tokens)
-            rows[name] = query_metrics(recommended, query.hashtags, k_max)
-        return rows
-
-    all_rows = [evaluate_query(query) for query in queries]
+    all_rows = [
+        {name: query_metrics(recommenders[name](query, profile), query.hashtags, k_max) for name in algorithms}
+        for query, profile in zip(queries, profiles)
+    ]
 
     n = len(queries)
 

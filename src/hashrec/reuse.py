@@ -188,14 +188,15 @@ def reuse_age_histogram(
     tag, "social" with the most recent earlier use among followees.
     Ages are converted to ``time_unit`` and clamped below at one unit so
     the log grid is always applicable.  A corpus with no reuses of the
-    requested kind yields a single all-zero bucket.
+    requested kind yields a single all-zero bucket.  A unit longer than
+    a second is refused when the corpus spans less than one unit.
     """
     if kind not in ("individual", "social"):
         raise ValueError(f"unknown reuse kind {kind!r}")
     if time_unit not in TIME_UNIT_SECONDS:
         raise ValueError(f"unknown time unit {time_unit!r}")
     unit = TIME_UNIT_SECONDS[time_unit]
-    if len(corpus.tweets) >= 2 and corpus.span_seconds() < unit:
+    if unit > 1 and len(corpus.tweets) >= 2 and corpus.span_seconds() < unit:
         raise ValueError(
             f"time unit {time_unit!r} is coarser than the corpus span "
             f"({corpus.span_seconds()} s)"

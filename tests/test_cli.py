@@ -164,6 +164,19 @@ class TestAnalyze:
         )
         assert code == 2
 
+    def test_same_second_corpus_writes_nan_fits(self, tmp_path):
+        lines = [
+            '{"tweet_id":"t1","user_id":"u1","timestamp":7,"hashtags":["x"]}',
+            '{"tweet_id":"t2","user_id":"u1","timestamp":7,"hashtags":["x"]}',
+        ]
+        tweets = tmp_path / "instant.jsonl"
+        tweets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert run("analyze", "--tweets", str(tweets), "--out", str(out)) == 0
+        for kind in ("individual", "social"):
+            decay = (out / f"decay_{kind}.csv").read_text(encoding="utf-8").splitlines()
+            assert decay[0] == "# fit_slope=nan fit_intercept=nan r_squared=nan"
+
     def test_bad_time_unit_is_usage_error(self, corpus_dir, tmp_path):
         code = run(
             "analyze",
@@ -206,6 +219,25 @@ class TestRecommend:
         assert code == 0
         ranked = json.loads(capsys.readouterr().out)
         assert [r["hashtag"] for r in ranked] == ["py", "ml"]
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_text_at_or_after_now_is_not_read(self, tmp_path, capsys, offset):
+        lines = [
+            '{"tweet_id":"t1","user_id":"u1","timestamp":100,"hashtags":["ml"],"text":"deep nets"}',
+            '{"tweet_id":"t2","user_id":"u2","timestamp":200,"hashtags":["py"],"text":"pip tooling"}',
+        ]
+        late = f'{{"tweet_id":"t3","user_id":"u3","timestamp":{1000 + offset},"hashtags":["late"],"text":"pip"}}'
+        outputs = []
+        for rows in (lines, lines + [late]):
+            tweets = tmp_path / "tweets.jsonl"
+            tweets.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            code = run(
+                "recommend", "--tweets", str(tweets), "--user", "u1", "--now", "1000",
+                "--text", "pip tooling tricks", "--lambda", "0.4",
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_unknown_user_empty_list(self, tmp_path, capsys):
         tweets = self.fixture_files(tmp_path)

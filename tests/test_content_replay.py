@@ -1,0 +1,72 @@
+"""The content profile as of a time: one forward pass against a recount."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hashrec.content import profiles_before
+from hashrec.corpus import FollowGraph, Tweet, build_corpus
+
+WORDS = ["deep", "nets", "pip", "go"]
+TAGS = ["a", "b", "c"]
+
+
+def recount(tweets, now):
+    """doc_count, df, assoc and assoc_total from the tweets strictly before ``now``."""
+    doc_count = 0
+    df: Counter[str] = Counter()
+    assoc: dict[str, Counter[str]] = {}
+    for tweet in tweets:
+        if tweet.time >= now or not tweet.tokens:
+            continue
+        doc_count += 1
+        for token in set(tweet.tokens):
+            df[token] += 1
+            if tweet.hashtags:
+                assoc.setdefault(token, Counter()).update(tweet.hashtags)
+    return (
+        doc_count,
+        dict(df),
+        {token: dict(row) for token, row in assoc.items()},
+        {token: sum(row.values()) for token, row in assoc.items()},
+    )
+
+
+def as_tuple(profile):
+    return (
+        profile.doc_count,
+        dict(profile.df),
+        {token: dict(row) for token, row in profile.assoc.items()},
+        dict(profile.assoc_total),
+    )
+
+
+rows = st.lists(
+    st.tuples(
+        st.integers(0, 20),
+        st.frozensets(st.sampled_from(TAGS), max_size=2),
+        st.none() | st.lists(st.sampled_from(WORDS), max_size=4).map(tuple),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rows, times=st.lists(st.integers(-1, 22), max_size=8).map(sorted))
+def test_each_profile_equals_a_recount_of_the_earlier_tweets(rows, times):
+    tweets = [Tweet(f"t{i:03d}", "u1", time, tags, tokens) for i, (time, tags, tokens) in enumerate(rows)]
+    corpus = build_corpus(tweets, FollowGraph())
+    drawn = []
+    # A profile is read before the next one is drawn: they share counters.
+    for now, profile in zip(times, profiles_before(corpus, times)):
+        drawn.append(now)
+        assert as_tuple(profile) == recount(tweets, now)
+    assert drawn == times
+
+
+def test_a_time_lower_than_the_one_before_is_rejected():
+    corpus = build_corpus([Tweet("t1", "u1", 5, frozenset({"a"}), ("deep",))], FollowGraph())
+    with pytest.raises(ValueError, match="times"):
+        list(profiles_before(corpus, [3, 8, 7]))

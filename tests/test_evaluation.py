@@ -207,6 +207,22 @@ class TestRunEval:
         # u2's history has x; content adds evidence for x only in s2.
         assert s1.recall[0] == 1.0 and s2.recall[0] == 1.0
 
+    def test_scenario_two_ignores_training_text_after_the_query(self):
+        train = [
+            make_tweet("a1", "u1", 10, ["x"], ["query"]),
+            make_tweet("a2", "u1", 20, ["y"], ["other"]),
+        ]
+        late = make_tweet("a3", "u1", 40, ["z"], ["query"])
+        test = [make_tweet("q1", "u2", 30, ["z"], ["query"])]
+        graph = FollowGraph(edges={})
+        reports = [
+            run_eval(build_corpus(tweets, graph), test, scenario=2, algorithms=["bll_isc"], k_max=2)
+            for tweets in (train, train + [late])
+        ]
+        # Only the later tweet links "query" to z; a leak would rank z.
+        assert reports[0]["bll_isc"].mrr == 0.0
+        assert reports[1] == reports[0]
+
     def test_validation_errors(self):
         train, test = chronological_split(two_user_fixture())
         with pytest.raises(ValueError, match="scenario"):

@@ -255,6 +255,13 @@ class TestReuseAgeHistogram:
         with pytest.raises(ValueError, match="coarser"):
             reuse_age_histogram(corpus, "individual", time_unit="hours")
 
+    def test_same_second_corpus_gives_one_zero_bucket(self):
+        # No age is finer than a second, so seconds are never too coarse.
+        corpus = corpus_of([("t1", "u1", 5, ["h"]), ("t2", "u1", 5, ["h"])])
+        for kind in ("individual", "social"):
+            hist = reuse_age_histogram(corpus, kind, time_unit="seconds")
+            assert hist.counts.tolist() == [0]
+
     def test_unknown_kind_and_unit_rejected(self):
         corpus = corpus_of([("t1", "u1", 0, ["h"])])
         with pytest.raises(ValueError):
