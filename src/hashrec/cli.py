@@ -231,9 +231,10 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
     if args.text is not None:
-        profile = next(profiles_before(corpus, [args.now]))
+        tokens = tokenize(args.text)
+        profile = next(profiles_before(corpus, [args.now], tokens))
         ranked = recommend_bll_isc(
-            corpus.index, corpus.graph, profile, args.user, args.now, tokenize(args.text),
+            corpus.index, corpus.graph, profile, args.user, args.now, tokens,
             params, args.lambda_weight, args.k,
         )
     else:

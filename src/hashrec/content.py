@@ -46,16 +46,20 @@ class TokenHashtagProfile:
     assoc_total: Mapping[str, int]
 
 
-def profiles_before(train: Corpus, times: Iterable[float]) -> Iterator[TokenHashtagProfile]:
+def profiles_before(
+    train: Corpus, times: Iterable[float], tokens: Iterable[str] | None = None
+) -> Iterator[TokenHashtagProfile]:
     """For each of the ascending ``times``, the profile of the training
     tweets strictly before it, all from one forward pass.
 
     Tweets without tokens are skipped; tweets with tokens but no
     hashtags still raise doc_count and df so idf stays honest.  Tokens
-    count once per tweet.  A yielded profile shares its counters with
-    the next one, and is valid until that one is drawn.
+    count once per tweet, and only those in ``tokens`` when it is given:
+    such a profile answers only for them.  A yielded profile shares its
+    counters with the next one, and is valid until that one is drawn.
     """
     tweets, pos, doc_count, previous = train.tweets, 0, 0, -math.inf
+    kept = None if tokens is None else frozenset(tokens)
     df: dict[str, int] = {}
     assoc: dict[str, Counter[str]] = {}
     assoc_total: dict[str, int] = {}
@@ -67,7 +71,7 @@ def profiles_before(train: Corpus, times: Iterable[float]) -> Iterator[TokenHash
             tweet, pos = tweets[pos], pos + 1
             if tweet.tokens:
                 doc_count += 1
-                for token in set(tweet.tokens):
+                for token in set(tweet.tokens) if kept is None else kept.intersection(tweet.tokens):
                     df[token] = df.get(token, 0) + 1
                     if tweet.hashtags:
                         assoc.setdefault(token, Counter()).update(tweet.hashtags)

@@ -26,9 +26,9 @@ _TIMESTAMP_LIMIT = 2**63
 _NO_USES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 
 # Tokens are maximal runs of word characters excluding underscore.
-# Hashtag mentions inside the text are removed before token extraction
-# so the content model never sees the labels it is asked to predict.
-_HASHTAG_IN_TEXT_RE = re.compile(r"#[^\W_]*", re.UNICODE)
+# Hashtag mentions inside the text, underscores included, are removed
+# first so the content model never sees the labels it is asked to predict.
+_HASHTAG_IN_TEXT_RE = re.compile(r"#\w*", re.UNICODE)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _TWEET_REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "hashtags")
@@ -248,16 +248,12 @@ def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corp
     for tweet in corpus.tweets:
         if tweet.hashtags:
             tagged_by_user.setdefault(tweet.user_id, []).append(tweet)
-    test_ids: set[str] = set()
-    for tweets in tagged_by_user.values():
-        if len(tweets) >= per_user_holdout + 1:
-            test_ids.update(t.tweet_id for t in tweets[-per_user_holdout:])
-    train = [t for t in corpus.tweets if t.tweet_id not in test_ids]
-    test = sorted(
-        (t for t in corpus.tweets if t.tweet_id in test_ids),
-        key=Tweet.sort_key,
-    )
-    return build_corpus(train, corpus.graph), test
+    held_out = [tweets[-per_user_holdout:] for tweets in tagged_by_user.values() if len(tweets) > per_user_holdout]
+    test_ids = {t.tweet_id for tweets in held_out for t in tweets}
+    train = tuple(t for t in corpus.tweets if t.tweet_id not in test_ids)
+    test = [t for t in corpus.tweets if t.tweet_id in test_ids]
+    # Every held-out user keeps at least one training tweet, so the user set is unchanged.
+    return Corpus(tweets=train, graph=corpus.graph, users=corpus.users), test
 
 
 @dataclass(frozen=True, eq=False)

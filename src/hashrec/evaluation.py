@@ -172,12 +172,13 @@ def run_eval(
 
     Scenario 1 hides query text (history-only); scenario 2 passes the
     query tweet's tokens, and the profile of the training tweets strictly
-    before it, to content-capable algorithms.  Queries run in
-    (time, tweet_id) order regardless of input order, and per-query
-    rows are reduced in that same order, so results do not depend on
-    the test sequence ordering.  ``threads`` is checked and otherwise
-    ignored: queries run in the calling thread, because a thread pool
-    made evaluation slower, not faster.
+    before it, to content-capable algorithms.  That profile counts only
+    the tokens some query carries, so it answers only for those.
+    Queries run in (time, tweet_id) order regardless of input order, and
+    per-query rows are reduced in that same order, so results do not
+    depend on the test sequence ordering.  ``threads`` is checked and
+    otherwise ignored: queries run in the calling thread, because a
+    thread pool made evaluation slower, not faster.
     """
     if scenario not in (1, 2):
         raise ValueError("scenario must be 1 or 2")
@@ -203,7 +204,8 @@ def run_eval(
 
     if scenario == 2 and not any(t.tokens for part in (train.tweets, queries) for t in part):
         raise ValueError("scenario 2 requires text, but neither training nor test tweets have any")
-    profiles = profiles_before(train, [q.time for q in queries]) if scenario == 2 else repeat(None)
+    tokens = {token for q in queries for token in q.tokens or ()}
+    profiles = profiles_before(train, [q.time for q in queries], tokens) if scenario == 2 else repeat(None)
 
     recommenders = _make_recommenders(train.index, train.graph, params, lambda_weight, k_max)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashrec.content import profiles_before
+from hashrec.content import content_scores, profiles_before
 from hashrec.corpus import FollowGraph, Tweet, build_corpus
 
 WORDS = ["deep", "nets", "pip", "go"]
@@ -64,6 +64,30 @@ def test_each_profile_equals_a_recount_of_the_earlier_tweets(rows, times):
         drawn.append(now)
         assert as_tuple(profile) == recount(tweets, now)
     assert drawn == times
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=rows,
+    times=st.lists(st.integers(-1, 22), max_size=8).map(sorted),
+    kept=st.frozensets(st.sampled_from(WORDS + ["unseen"])),
+    data=st.data(),
+)
+def test_a_profile_of_some_tokens_counts_them_as_the_full_profile_does(rows, times, kept, data):
+    tweets = [Tweet(f"t{i:03d}", "u1", time, tags, tokens) for i, (time, tags, tokens) in enumerate(rows)]
+    corpus = build_corpus(tweets, FollowGraph())
+    pairs = zip(times, profiles_before(corpus, times), profiles_before(corpus, times, kept))
+    # Each pair is read before the next is drawn: each replay shares its counters.
+    for now, whole, part in pairs:
+        doc_count, df, assoc, assoc_total = recount(tweets, now)
+        assert as_tuple(part) == (
+            doc_count,
+            {token: n for token, n in df.items() if token in kept},
+            {token: row for token, row in assoc.items() if token in kept},
+            {token: n for token, n in assoc_total.items() if token in kept},
+        )
+        query = data.draw(st.lists(st.sampled_from(sorted(kept)), max_size=5)) if kept else []
+        assert content_scores(part, query) == content_scores(whole, query)
 
 
 def test_a_time_lower_than_the_one_before_is_rejected():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashrec.corpus import (
     CorpusError,
@@ -44,6 +46,11 @@ class TestTokenize:
 
     def test_underscore_splits_tokens(self):
         assert tokenize("alice_01 says hi") == ["alice", "01", "says", "hi"]
+
+    def test_underscore_hashtag_mentions_removed_entirely(self):
+        # normalize_hashtag keeps underscores, so no part of the label may leak.
+        assert tokenize("#deep_learning rocks") == ["rocks"]
+        assert tokenize("#ML_ops") == []
 
     def test_empty_and_symbol_only_text(self):
         assert tokenize("") == []
@@ -237,6 +244,33 @@ class TestChronologicalSplit:
             assert eligible == {t.tweet_id for t in train.tweets if t.hashtags} | {
                 t.tweet_id for t in test
             }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u2"]),
+                st.integers(0, 6),
+                st.frozensets(st.sampled_from(["a", "b"]), max_size=2),
+            ),
+            max_size=30,
+        ),
+        edges=st.lists(st.tuples(st.sampled_from(["u0", "u1", "g0"]), st.sampled_from(["u2", "g1"])), max_size=4),
+        holdout=st.integers(1, 3),
+    )
+    def test_split_equals_a_rebuilt_corpus(self, rows, edges, holdout):
+        # Ids out of time order, so same-second ties sort by id; "quiet"
+        # tweets without hashtags, and "g0" and "g1" appear only in the graph.
+        tweets = [make_tweet(f"t{i * 7 % 31:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+        tweets.append(make_tweet("q0", "quiet", 3, []))
+        followees: dict[str, set[str]] = {}
+        for follower, followee in edges:
+            followees.setdefault(follower, set()).add(followee)
+        graph = FollowGraph({user: frozenset(targets) for user, targets in followees.items()})
+        train, test = chronological_split(build_corpus(tweets, graph), holdout)
+        oracle = build_corpus(train.tweets, graph)
+        assert (train.tweets, train.graph, train.users) == (oracle.tweets, oracle.graph, oracle.users)
+        assert test == sorted(test, key=Tweet.sort_key)
 
 
 class TestUsageIndex:
