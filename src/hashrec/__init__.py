@@ -37,7 +37,7 @@ from hashrec.reuse import (
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
-    bll_is_scores,
+    history_scores,
     individual_activations,
     mix_scores,
     normalize_softmax,
@@ -88,7 +88,6 @@ __all__ = [
     "UsageIndex",
     "average_precision",
     "base_level_activation",
-    "bll_is_scores",
     "build_corpus",
     "build_profiles",
     "build_usage_index",
@@ -98,6 +97,7 @@ __all__ = [
     "content_scores",
     "fit_power_law",
     "generate",
+    "history_scores",
     "individual_activations",
     "load_follows",
     "load_tweets",

@@ -241,18 +241,6 @@ def history_scores(
     return individual.mix(social, params.beta)
 
 
-def bll_is_scores(
-    index: UsageIndex,
-    graph: FollowGraph,
-    user_id: str,
-    now: Timestamp,
-    params: ActivationParams = ActivationParams(),
-) -> dict[str, float]:
-    """``history_scores`` as a dict in hashtag order."""
-    scores = history_scores(index, graph, user_id, now, params)
-    return dict(zip(scores, scores.scores.tolist()))
-
-
 def recommend_bll_is(
     index: UsageIndex,
     graph: FollowGraph,

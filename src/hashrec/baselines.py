@@ -23,7 +23,7 @@ def _top_counts(index: UsageIndex, ids: np.ndarray, k: int) -> ScoredList:
 
 def mp_global(index: UsageIndex, now: Timestamp, k: int = 10) -> ScoredList:
     """Most popular overall: global use counts strictly before now."""
-    return _top_counts(index, index.ids[: index.times.searchsorted(now)], k)
+    return _top_counts(index, index.ids_before(now), k)
 
 
 def mp_user(index: UsageIndex, user_id: str, now: Timestamp, k: int = 10) -> ScoredList:

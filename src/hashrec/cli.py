@@ -228,6 +228,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
+    if not 0 <= args.now < 2**63:
+        raise UsageError("--now must lie in [0, 2**63), as tweet timestamps do")
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)
     if args.text is not None:

@@ -16,8 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from hashrec.activation import (
     ActivationParams,
     ScoredList,
@@ -64,7 +62,7 @@ def profiles_before(
     assoc: dict[str, Counter[str]] = {}
     assoc_total: dict[str, int] = {}
     for now in times:
-        if now < previous:
+        if not now >= previous:
             raise ValueError(f"times must be ascending, but {now!r} follows {previous!r}")
         previous = now
         while pos < len(tweets) and tweets[pos].time < now:
@@ -110,17 +108,6 @@ def content_scores(profile: TokenHashtagProfile, tokens: Sequence[str]) -> dict[
     return scores
 
 
-def _on_index(index: UsageIndex, scores: Mapping[str, float]) -> tuple[TagScores, dict[str, float]]:
-    """Split scores into a view over the hashtags the index interned
-    and a dict of the hashtags it never saw."""
-    known = {index.tag_ids[tag]: score for tag, score in scores.items() if tag in index.tag_ids}
-    unseen = {tag: score for tag, score in scores.items() if tag not in index.tag_ids}
-    ids = np.fromiter(known, dtype=np.int32, count=len(known))
-    values = np.fromiter(known.values(), dtype=float, count=len(known))
-    order = np.argsort(ids)
-    return TagScores(index.tags, ids[order], values[order]), unseen
-
-
 def recommend_bll_isc(
     index: UsageIndex,
     graph: FollowGraph,
@@ -143,10 +130,11 @@ def recommend_bll_isc(
     if not 0.0 <= lambda_weight <= 1.0:
         raise ValueError("lambda_weight must lie in [0, 1]")
     history = history_scores(index, graph, user_id, now, params)
-    content, unseen = _on_index(index, normalize_softmax(content_scores(profile, tokens or [])))
-    # A hashtag the index never saw has no history score.  The top k of
-    # the interned candidates plus those, ranked by the same tie rule,
-    # is the top k of the whole union.
-    ranked = dict(history.mix(content, lambda_weight).top_k(k))
-    ranked.update(mix_scores({}, unseen, lambda_weight))
+    content = normalize_softmax(content_scores(profile, tokens or []))
+    # The blend is exactly lambda_weight * h off the content hashtags
+    # (h >= 0) and no lower on them (content >= 0), so under one tie rule
+    # the top k of lambda_weight * h holds the blend's top k of the rest.
+    scaled = TagScores(history.tags, history.ids, lambda_weight * history.scores)
+    ranked = dict(scaled.top_k(k))
+    ranked.update(mix_scores({tag: history.get(tag, 0.0) for tag in content}, content, lambda_weight))
     return rank_top_k(ranked, k)

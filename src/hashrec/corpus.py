@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -285,9 +286,14 @@ class UsageIndex:
     def hashtags(self) -> Iterator[str]:
         return iter(self.tags)
 
+    def ids_before(self, now: Timestamp) -> np.ndarray:
+        """Tag ids of every use strictly before now, in time order."""
+        return self.ids[: self.times.searchsorted(_checked_now(now))]
+
     def uses_before(self, users: Iterable[str], now: Timestamp) -> tuple[np.ndarray, np.ndarray]:
         """(times, tag ids) of the users' uses strictly before now, each
         user's time-sorted slice in the order of ``users``."""
+        _checked_now(now)
         times: list[np.ndarray] = []
         ids: list[np.ndarray] = []
         for user in users:
@@ -301,12 +307,18 @@ class UsageIndex:
         return np.concatenate(times), np.concatenate(ids)
 
     def used_before(self, user_id: str, hashtag: str, now: Timestamp) -> bool:
-        tag_id = self.tag_ids.get(hashtag)
-        return tag_id is not None and bool((self.uses_before((user_id,), now)[1] == tag_id).any())
+        # A hashtag the index never saw gets -1, which matches no id.
+        return bool((self.uses_before((user_id,), now)[1] == self.tag_ids.get(hashtag, -1)).any())
 
     def anyone_used_before(self, hashtag: str, now: Timestamp) -> bool:
-        tag_id = self.tag_ids.get(hashtag)
-        return tag_id is not None and bool((self.ids[: self.times.searchsorted(now)] == tag_id).any())
+        return bool((self.ids_before(now) == self.tag_ids.get(hashtag, -1)).any())
+
+
+def _checked_now(now: Timestamp) -> Timestamp:
+    """``now`` itself, if it is a query time the int64 columns can cut at."""
+    if not -math.inf < now < _TIMESTAMP_LIMIT:
+        raise ValueError(f"now must lie in (-inf, 2**63), got {now!r}")
+    return now
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

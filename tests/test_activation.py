@@ -8,7 +8,7 @@ import pytest
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
-    bll_is_scores,
+    history_scores,
     individual_activations,
     mix_scores,
     normalize_softmax,
@@ -293,13 +293,13 @@ class TestBllIsScores:
             )
             now = int(rng.integers(1, 120))
             for k in (1, 3, 100):
-                scores = bll_is_scores(index, graph, "u0", now, params)
+                scores = history_scores(index, graph, "u0", now, params)
                 assert rank_top_k(scores, k) == recommend_bll_is(index, graph, "u0", now, params, k)
 
     def test_unranked_scores_cover_own_and_followee_hashtags(self):
         graph = FollowGraph(edges={"u1": frozenset({"a"})})
         index = index_of(("u1", 5, ["x"]), ("a", 7, ["y"]), ("b", 8, ["z"]), ("u1", 30, ["w"]))
-        scores = bll_is_scores(index, graph, "u1", 20, ActivationParams(beta=0.25))
+        scores = history_scores(index, graph, "u1", 20, ActivationParams(beta=0.25))
         assert scores == {"x": 0.25, "y": 0.75}
 
 

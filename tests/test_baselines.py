@@ -1,5 +1,6 @@
 """Frequency and recency baselines."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from hashrec.activation import ActivationParams, recommend_bll_is
 from hashrec.baselines import most_recent, mp_global, mp_social, mp_user
+from hashrec.content import build_profiles, recommend_bll_isc
 from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index
 
 
@@ -200,4 +202,20 @@ class TestSharedContracts:
             lambda: most_recent(index, "u1", 10, k),
         ):
             with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 2**63])
+    def test_a_query_time_the_columns_cannot_cut_is_rejected_naming_now(self, now):
+        tweets = [Tweet("t1", "u1", 1, frozenset({"x"}), ("deep",)), Tweet("t2", "a", 2, frozenset({"y"}))]
+        corpus = build_corpus(tweets, FollowGraph(edges={"u1": frozenset({"a"})}))
+        index, graph, profile = corpus.index, corpus.graph, build_profiles(corpus)
+        for call in (
+            lambda: recommend_bll_is(index, graph, "u1", now),
+            lambda: recommend_bll_isc(index, graph, profile, "u1", now, ["deep"]),
+            lambda: mp_global(index, now),
+            lambda: mp_user(index, "u1", now),
+            lambda: mp_social(index, graph, "u1", now),
+            lambda: most_recent(index, "u1", now),
+        ):
+            with pytest.raises(ValueError, match="now"):
                 call()

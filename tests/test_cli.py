@@ -255,6 +255,9 @@ class TestRecommend:
             ("--d-ind", "nan"),
             ("--d-soc", "inf"),
             ("--beta", "nan"),
+            ("--now", "-1"),
+            ("--now", str(2**63)),
+            ("--now", str(10**400)),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, extra):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashrec.activation import (
     ActivationParams,
     base_level_activation,
-    bll_is_scores,
+    history_scores,
     mix_scores,
     normalize_softmax,
     rank_top_k,
@@ -306,7 +308,7 @@ class TestRecommendBllIsc:
                     ranked = recommend_bll_isc(index, corpus.graph, profile, "u1", 50, tokens, params, lam, k)
                     expected = rank_top_k(
                         mix_scores(
-                            bll_is_scores(index, corpus.graph, "u1", 50, params),
+                            history_scores(index, corpus.graph, "u1", 50, params),
                             normalize_softmax(content_scores(profile, tokens)),
                             lam,
                         ),
@@ -315,3 +317,37 @@ class TestRecommendBllIsc:
                     assert ranked == expected
         ranked = recommend_bll_isc(index, corpus.graph, profile, "u1", 50, ["gamma"], params, 0.0, 10)
         assert {"ñew", "aaa", "zzz"} <= {tag for tag, _ in ranked}
+
+
+def rows_of(tags):
+    """Tweets as ``corpus_of`` rows, hashtags drawn from ``tags``."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["u1", "u2", "u3"]),
+            st.integers(0, 30),
+            st.frozensets(st.sampled_from(tags), max_size=3),
+            st.none() | st.lists(st.sampled_from(["deep", "nets", "pip", "go"]), max_size=3),
+        ),
+        max_size=25,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=rows_of(["a", "b", "c", "d", "e"]),
+    later=rows_of(["c", "f", "zz"]),
+    now=st.integers(0, 32),
+    lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    k=st.integers(1, 5),
+    tokens=st.lists(st.sampled_from(["deep", "nets", "pip", "go", "new"]), max_size=4),
+)
+def test_the_blend_is_the_ranked_mix_of_the_whole_union(rows, later, now, lam, k, tokens):
+    # The profile comes from a larger corpus than the index, so some
+    # content hashtags were never interned.
+    corpus = corpus_of(rows, {"u1": ["u2", "u3"], "u2": ["u3"]})
+    index = build_usage_index(corpus)
+    profile = build_profiles(corpus_of(rows + later))
+    content = normalize_softmax(content_scores(profile, tokens))
+    for user in ("u1", "u2", "u3"):
+        expected = rank_top_k(mix_scores(history_scores(index, corpus.graph, user, now), content, lam), k)
+        assert recommend_bll_isc(index, corpus.graph, profile, user, now, tokens, lambda_weight=lam, k=k) == expected

@@ -1,5 +1,6 @@
 """The content profile as of a time: one forward pass against a recount."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -92,5 +93,6 @@ def test_a_profile_of_some_tokens_counts_them_as_the_full_profile_does(rows, tim
 
 def test_a_time_lower_than_the_one_before_is_rejected():
     corpus = build_corpus([Tweet("t1", "u1", 5, frozenset({"a"}), ("deep",))], FollowGraph())
-    with pytest.raises(ValueError, match="times"):
-        list(profiles_before(corpus, [3, 8, 7]))
+    for times in ([3, 8, 7], [25, math.nan, 15], [math.nan], [3, math.inf, math.nan]):
+        with pytest.raises(ValueError, match="times"):
+            list(profiles_before(corpus, times))

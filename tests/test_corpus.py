@@ -1,6 +1,7 @@
 """Parsing, indexing, splitting, and round-trip serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -325,6 +326,18 @@ class TestUsageIndex:
         assert index.anyone_used_before("a", 11)
         assert index.uses_before(["u1"], 10)[0].tolist() == []
         assert index.uses_before(["u1"], 11)[0].tolist() == [10]
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 2**63])
+    def test_a_query_time_the_columns_cannot_cut_is_rejected(self, now):
+        index = build_usage_index(build_corpus([make_tweet("t1", "u1", 10, ["a"])]))
+        for call in (
+            lambda: index.used_before("u1", "never", now),
+            lambda: index.anyone_used_before("never", now),
+            lambda: index.ids_before(now),
+            lambda: index.uses_before([], now),
+        ):
+            with pytest.raises(ValueError, match="now"):
+                call()
 
 
 class TestRoundTrip:
