@@ -32,7 +32,24 @@ _NO_USES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 _HASHTAG_IN_TEXT_RE = re.compile(r"#\w*", re.UNICODE)
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_TWEET_REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "hashtags")
+# The record checks as (message, check), in the order parse_tweets reports
+# them; each check sees only records that passed the checks before it.
+_RECORD_CHECKS = (
+    ("record is not a JSON object", lambda r: isinstance(r, dict)),
+    *((f"missing field {key!r}", lambda r, key=key: key in r)
+      for key in ("tweet_id", "user_id", "timestamp", "hashtags")),
+    ("tweet_id must be a non-empty string", lambda r: isinstance(r["tweet_id"], str) and r["tweet_id"] != ""),
+    ("user_id must be a non-empty string", lambda r: isinstance(r["user_id"], str) and r["user_id"] != ""),
+    ("timestamp must be an integer", lambda r: type(r["timestamp"]) is int),  # not bool
+    ("timestamp must be non-negative", lambda r: r["timestamp"] >= 0),
+    ("timestamp must be below 2**63", lambda r: r["timestamp"] < _TIMESTAMP_LIMIT),
+    ("hashtags must be an array", lambda r: isinstance(r["hashtags"], list)),
+)
+
+# The whitespace json.loads skips around a value; str.strip() skips more.
+_JSON_WHITESPACE = " \t\n\r"
+_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 class CorpusError(ValueError):
@@ -57,7 +74,7 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_RE.findall(cleaned) if len(tok) >= 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One post: who said it, when, which hashtags, optional tokens.
 
@@ -127,59 +144,48 @@ def parse_tweets(lines: Iterable[str]) -> list[Tweet]:
     missing fields, bad field types, negative timestamps, and duplicate
     tweet ids.  Hashtags are normalized; empty ones are dropped.
     Records with empty hashtag sets are retained (they still carry
-    content history even though they add no usage events).
+    content history even though they add no usage events).  Tweets with
+    equal raw hashtag lists share one frozenset, and one user's tweets
+    share one ``user_id`` string.
     """
     tweets: list[Tweet] = []
     seen_ids: dict[str, int] = {}
+    tag_sets: dict[tuple[str, ...], frozenset[str]] = {}
+    user_ids: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        body = line.strip(_JSON_WHITESPACE)
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        _require(isinstance(record, dict), line_no, "record is not a JSON object")
-        for key in _TWEET_REQUIRED_KEYS:
-            _require(key in record, line_no, f"missing field {key!r}")
-        tweet_id = record["tweet_id"]
-        user_id = record["user_id"]
-        timestamp = record["timestamp"]
-        raw_tags = record["hashtags"]
-        _require(isinstance(tweet_id, str) and tweet_id != "", line_no, "tweet_id must be a non-empty string")
-        _require(isinstance(user_id, str) and user_id != "", line_no, "user_id must be a non-empty string")
-        _require(
-            isinstance(timestamp, int) and not isinstance(timestamp, bool),
-            line_no,
-            "timestamp must be an integer",
-        )
-        _require(timestamp >= 0, line_no, "timestamp must be non-negative")
-        _require(timestamp < _TIMESTAMP_LIMIT, line_no, "timestamp must be below 2**63")
-        _require(isinstance(raw_tags, list), line_no, "hashtags must be an array")
-        hashtags = set()
-        for raw in raw_tags:
-            _require(isinstance(raw, str), line_no, "hashtags must be an array of strings")
-            tag = normalize_hashtag(raw)
-            if tag:
-                hashtags.add(tag)
-        if tweet_id in seen_ids:
-            raise CorpusError(
-                f"line {line_no}: duplicate tweet_id {tweet_id!r} (first seen on line {seen_ids[tweet_id]})"
-            )
-        seen_ids[tweet_id] = line_no
+            record, end = _decode(body)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(body):
+            try:  # not one JSON value: json.loads fails too, and names the fault
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        if not (
+            type(record) is dict
+            and type(tweet_id := record.get("tweet_id")) is str and tweet_id
+            and type(user_id := record.get("user_id")) is str and user_id
+            and type(timestamp := record.get("timestamp")) is int and 0 <= timestamp < _TIMESTAMP_LIMIT
+            and type(raw_tags := record.get("hashtags")) is list
+        ):
+            raise CorpusError(f"line {line_no}: " + next(msg for msg, ok in _RECORD_CHECKS if not ok(record)))
+        try:  # only lists of strings are cached, and only a list of strings equals one
+            hashtags = tag_sets[tuple(raw_tags)]
+        except (KeyError, TypeError):  # TypeError: an unhashable element
+            _require(all(type(raw) is str for raw in raw_tags), line_no, "hashtags must be an array of strings")
+            hashtags = tag_sets[tuple(raw_tags)] = frozenset(t for raw in raw_tags if (t := normalize_hashtag(raw)))
+        first_line = seen_ids.setdefault(tweet_id, line_no)
+        if first_line != line_no:
+            raise CorpusError(f"line {line_no}: duplicate tweet_id {tweet_id!r} (first seen on line {first_line})")
         tokens: tuple[str, ...] | None = None
-        if "text" in record and record["text"] is not None:
-            text = record["text"]
-            _require(isinstance(text, str), line_no, "text must be a string")
+        if (text := record.get("text")) is not None:
+            _require(type(text) is str, line_no, "text must be a string")
             tokens = tuple(tokenize(text))
-        tweets.append(
-            Tweet(
-                tweet_id=tweet_id,
-                user_id=user_id,
-                time=timestamp,
-                hashtags=frozenset(hashtags),
-                tokens=tokens,
-            )
-        )
+        tweets.append(Tweet(tweet_id, user_ids.setdefault(user_id, user_id), timestamp, hashtags, tokens))
     return tweets
 
 
@@ -213,12 +219,12 @@ def parse_follows(lines: Iterable[str]) -> FollowGraph:
 
 
 def load_tweets(path: str) -> list[Tweet]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_tweets(handle)
 
 
 def load_follows(path: str) -> FollowGraph:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_follows(handle)
 
 
@@ -381,7 +387,7 @@ def tweet_to_record(tweet: Tweet) -> dict:
 
 def tweets_to_jsonl(tweets: Iterable[Tweet]) -> str:
     """Serialize tweets, one canonical JSON object per line."""
-    lines = [json.dumps(tweet_to_record(t), ensure_ascii=False, sort_keys=True) for t in tweets]
+    lines = [_encode(tweet_to_record(t)) for t in tweets]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

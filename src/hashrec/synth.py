@@ -195,8 +195,8 @@ def generate(config: GenConfig) -> GenResult:
     """
     rng = np.random.default_rng(config.seed)
     user_ids = [f"u{i:06d}" for i in range(config.n_users)]
-    tag_names = [f"h{i:07d}" for i in range(config.vocab_size)]
-    topic_words = [f"w{i:07d}" for i in range(config.vocab_size)]
+    # Tweets with one tag id share its hashtag set and token tuple, made on first use.
+    labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
 
     followees, followers = _build_follow_graph(rng, config)
     n_edges = sum(len(v) for v in followees.values())
@@ -244,16 +244,8 @@ def generate(config: GenConfig) -> GenResult:
 
     def emit(user: int, tag: int, time_f: float) -> None:
         nonlocal seq, last_time
-        now = int(round(time_f))
-        tweets.append(
-            Tweet(
-                tweet_id=f"t{len(tweets):08d}",
-                user_id=user_ids[user],
-                time=now,
-                hashtags=frozenset((tag_names[tag],)),
-                tokens=(topic_words[tag],),
-            )
-        )
+        hashtags, tokens = labels.get(tag) or labels.setdefault(tag, (frozenset((f"h{tag:07d}",)), (f"w{tag:07d}",)))
+        tweets.append(Tweet(f"t{len(tweets):08d}", user_ids[user], int(round(time_f)), hashtags, tokens))
         last_time = time_f
         own_tags[user].add(tag)
         if rng.random() < config.p_individual:

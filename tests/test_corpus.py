@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hashrec.corpus import (
@@ -16,11 +16,14 @@ from hashrec.corpus import (
     build_usage_index,
     chronological_split,
     follows_to_tsv,
+    load_follows,
+    load_tweets,
     normalize_hashtag,
     parse_follows,
     parse_tweets,
     tokenize,
     tweets_to_jsonl,
+    tweet_to_record,
 )
 
 
@@ -129,11 +132,151 @@ class TestParseTweets:
         with pytest.raises(CorpusError, match="line 1"):
             parse_tweets([json.dumps(record)])
 
+    def test_byte_order_mark_file_loads(self, tmp_path):
+        line = '{"tweet_id":"t1","user_id":"u1","timestamp":5,"hashtags":["a"]}'
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\ufeff" + line + "\n", encoding="utf-8")
+        assert load_tweets(str(path)) == parse_tweets([line])
+
     def test_empty_hashtag_set_retained(self):
         line = '{"tweet_id":"t1","user_id":"u1","timestamp":1,"hashtags":["#"],"text":"just words"}'
         (tweet,) = parse_tweets([line])
         assert tweet.hashtags == frozenset()
         assert tweet.tokens == ("just", "words")
+
+
+def reference_parse_tweets(lines):
+    """The json.loads loop that parse_tweets replaced, kept as its oracle."""
+
+    def require(condition, line_no, message):
+        if not condition:
+            raise CorpusError(f"line {line_no}: {message}")
+
+    tweets = []
+    seen_ids = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        require(isinstance(record, dict), line_no, "record is not a JSON object")
+        for key in ("tweet_id", "user_id", "timestamp", "hashtags"):
+            require(key in record, line_no, f"missing field {key!r}")
+        tweet_id = record["tweet_id"]
+        user_id = record["user_id"]
+        timestamp = record["timestamp"]
+        raw_tags = record["hashtags"]
+        require(isinstance(tweet_id, str) and tweet_id != "", line_no, "tweet_id must be a non-empty string")
+        require(isinstance(user_id, str) and user_id != "", line_no, "user_id must be a non-empty string")
+        require(
+            isinstance(timestamp, int) and not isinstance(timestamp, bool), line_no, "timestamp must be an integer"
+        )
+        require(timestamp >= 0, line_no, "timestamp must be non-negative")
+        require(timestamp < 2**63, line_no, "timestamp must be below 2**63")
+        require(isinstance(raw_tags, list), line_no, "hashtags must be an array")
+        hashtags = set()
+        for raw in raw_tags:
+            require(isinstance(raw, str), line_no, "hashtags must be an array of strings")
+            tag = normalize_hashtag(raw)
+            if tag:
+                hashtags.add(tag)
+        if tweet_id in seen_ids:
+            raise CorpusError(
+                f"line {line_no}: duplicate tweet_id {tweet_id!r} (first seen on line {seen_ids[tweet_id]})"
+            )
+        seen_ids[tweet_id] = line_no
+        tokens = None
+        if "text" in record and record["text"] is not None:
+            text = record["text"]
+            require(isinstance(text, str), line_no, "text must be a string")
+            tokens = tuple(tokenize(text))
+        tweets.append(Tweet(tweet_id, user_id, timestamp, frozenset(hashtags), tokens))
+    return tweets
+
+
+def outcome(parse, lines):
+    """A parser's tweets, or the type and message of what it raised."""
+    try:
+        return parse(lines)
+    except Exception as exc:  # noqa: BLE001 - any failure must match the oracle's
+        return type(exc), str(exc)
+
+
+# JSON whitespace, whitespace only str.strip() skips, and a byte-order mark.
+JSON_SPACES = st.sampled_from(["", " ", "\t", "\r", "\n", " \t\r\n"])
+SPACES = JSON_SPACES | st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u3000", "\ufeff"])
+# Values that break each field: wrong types, empty strings, bools and floats for the
+# timestamp, out-of-range integers, non-string hashtags, and NaN.
+BAD_VALUES = {
+    "tweet_id": ["", None, 3, True, [], {}],
+    "user_id": ["", None, 3, False, ["u1"], {}],
+    "timestamp": [True, False, 1.5, 1.0, -1, 2**63, "5", None, float("nan"), float("inf")],
+    "hashtags": ["nlp", None, {}, [3], [None], ["a", 3], [["a"]], [{}], [True], [1.5]],
+    "text": [3, True, 1.5, [], {}, ["words"]],
+}
+MISSING = object()
+BROKEN_FIELDS = [(field, value) for field, values in BAD_VALUES.items() for value in [MISSING, *values]]
+IDS = st.one_of(st.sampled_from(["t1", "t2", "é", "e\u0301", "日本", "t\u0000"]), st.text(min_size=1, max_size=4))
+
+
+@st.composite
+def tweet_lines(draw, broken=True):
+    """One line of a JSONL tweet file: a good record, or with ``broken`` maybe a bad line."""
+    kinds = ["record", "broken", "broken", "wrapped", "trailing", "spaces", "json", "raw"] if broken else ["record"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "spaces":
+        return draw(SPACES) + draw(SPACES)
+    if kind == "json":
+        return json.dumps(draw(st.sampled_from([[1], "s", 3, None, float("nan"), float("-inf"), [], {}])))
+    if kind == "raw":
+        return draw(st.sampled_from(["{oops", "NaN", "{} {}", "}", "\ufeff{}", '{"a": 1,}', "[1, 2"]))
+    record = {
+        "tweet_id": draw(IDS),
+        "user_id": draw(st.sampled_from(["u1", "U1", "u2", "ü", "Ü", "用户"])),
+        "timestamp": draw(st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([0, 2**63 - 1]))),
+        "hashtags": draw(st.lists(st.sampled_from(["#NLP", "nlp", "#", "", "Ça", "#日本", "##x"]), max_size=3)),
+    }
+    if draw(st.booleans()):
+        record["text"] = draw(st.none() | st.text(max_size=12))
+    # One field broken, or two, where the message must name the first in check order.
+    for field, value in draw(st.lists(st.sampled_from(BROKEN_FIELDS), min_size=1, max_size=2)) if kind == "broken" else ():
+        if value is MISSING:
+            record.pop(field, None)
+        else:
+            record[field] = value
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    if kind == "trailing":
+        return line + draw(st.sampled_from(["{}", "x", "1", "]", " {}", ",", " \x1c"]))
+    spaces = SPACES if kind == "wrapped" else JSON_SPACES
+    return draw(spaces) + line + draw(spaces)
+
+
+class TestParseTweetsAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(tweet_lines(), max_size=6) | st.lists(tweet_lines(broken=False), max_size=8))
+    @example(["\x1c"])
+    @example(["\u00a0" + json.dumps({"tweet_id": "t", "user_id": "u", "timestamp": 1, "hashtags": []})])
+    @example([json.dumps({"tweet_id": "t", "user_id": "u", "timestamp": 1, "hashtags": []}) + "\u3000"])
+    @example(['{"tweet_id": "t", "user_id": "u", "timestamp": 1, "hashtags": []} {}'])
+    @example(["\ufeff{}"])
+    @example([json.dumps({"tweet_id": "", "user_id": 3, "timestamp": True, "hashtags": [3]})])
+    @example(['{"tweet_id": "t", "user_id": "u", "timestamp": 1, "hashtags": []}',
+              '{"tweet_id": "t", "user_id": "u", "timestamp": 2, "hashtags": [], "text": 3}'])
+    def test_same_tweets_or_same_error(self, lines):
+        # Each line alone too: in the whole file, the first bad line hides the rest.
+        for case in [lines, *([line] for line in lines)]:
+            assert outcome(parse_tweets, case) == outcome(reference_parse_tweets, case)
+
+    def test_equal_hashtag_lists_and_users_share_objects(self):
+        lines = [
+            json.dumps({"tweet_id": f"t{i}", "user_id": "u1", "timestamp": i, "hashtags": ["#A", "b"]})
+            for i in range(2)
+        ]
+        first, second = parse_tweets(lines)
+        assert first.hashtags is second.hashtags
+        assert first.user_id is second.user_id
 
 
 class TestParseFollows:
@@ -155,6 +298,11 @@ class TestParseFollows:
     def test_comments_and_blanks_skipped(self):
         graph = parse_follows(["# generated", "", "u1\tu2"])
         assert graph.followees("u1") == frozenset({"u2"})
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        path = tmp_path / "follows.tsv"
+        path.write_text("\ufeffu1\tu2\nu2\tu1\n", encoding="utf-8")
+        assert load_follows(str(path)) == FollowGraph(edges={"u1": frozenset({"u2"}), "u2": frozenset({"u1"})})
 
     @pytest.mark.parametrize("line", ["u1", "u1\tu2\tu3", "u1\t", "\tu2"])
     def test_malformed_line_names_line_number(self, line):
@@ -376,3 +524,40 @@ class TestRoundTrip:
         text = follows_to_tsv(graph, header_comments=("rng: test", "second line"))
         assert text.startswith("# rng: test\n# second line\n")
         assert parse_follows(text.splitlines()) == graph
+
+
+# str.splitlines() also breaks lines at these, and JSON with ensure_ascii=False leaves them raw.
+LINE_BREAKING = "\x85\u2028\u2029"
+FIELD_TEXT = st.text(st.characters(exclude_characters=LINE_BREAKING), min_size=1, max_size=8) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "e\u0301é", "日本", "\ud7ff\U0001f600", "\t\n\r"]
+)
+
+
+@st.composite
+def serial_tweets(draw):
+    tags = {normalize_hashtag(raw) for raw in draw(st.lists(FIELD_TEXT, max_size=3))} - {""}
+    text = draw(st.none() | st.just("") | FIELD_TEXT)
+    return Tweet(
+        tweet_id=draw(FIELD_TEXT),
+        user_id=draw(FIELD_TEXT),
+        time=draw(st.integers(0, 2**63 - 1)),
+        hashtags=frozenset(tags),
+        tokens=None if text is None else tuple(tokenize(text)),
+    )
+
+
+class TestSerializeTweets:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(serial_tweets(), max_size=5, unique_by=lambda t: t.tweet_id))
+    def test_matches_json_dumps_and_parses_back(self, tweets):
+        lines = [json.dumps(tweet_to_record(t), ensure_ascii=False, sort_keys=True) for t in tweets]
+        text = tweets_to_jsonl(tweets)
+        assert text == "\n".join(lines) + ("\n" if lines else "")
+        # Normalizing and tokenizing once more must change nothing for the round trip to hold.
+        assume(all(normalize_hashtag(tag) == tag for t in tweets for tag in t.hashtags))
+        assume(all(t.tokens is None or tuple(tokenize(" ".join(t.tokens))) == t.tokens for t in tweets))
+        assert parse_tweets(text.splitlines()) == tweets
+
+    def test_empty_and_missing_tokens_stay_apart(self):
+        tweets = [make_tweet("t1", "u1", 1, [], tokens=()), make_tweet("t2", "u1", 1, [], tokens=None)]
+        assert parse_tweets(tweets_to_jsonl(tweets).splitlines()) == tweets
