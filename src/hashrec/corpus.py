@@ -49,7 +49,9 @@ _RECORD_CHECKS = (
 # The whitespace json.loads skips around a value; str.strip() skips more.
 _JSON_WHITESPACE = " \t\n\r"
 _decode = json.JSONDecoder().raw_decode
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_quote = json.encoder.encode_basestring
+# str.splitlines() breaks lines at these too, and json.dumps(ensure_ascii=False) leaves them raw.
+_LINE_BREAKS = "\x85\u2028\u2029"
 
 
 class CorpusError(ValueError):
@@ -372,23 +374,28 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
     return UsageIndex(tags=tags, tag_ids=tag_ids, times=_frozen(times), ids=_frozen(ids), columns=columns)
 
 
-def tweet_to_record(tweet: Tweet) -> dict:
-    """Canonical JSON-ready dict for one tweet; hashtags sorted."""
-    record: dict = {
-        "tweet_id": tweet.tweet_id,
-        "user_id": tweet.user_id,
-        "timestamp": tweet.time,
-        "hashtags": sorted(tweet.hashtags),
-    }
-    if tweet.tokens is not None:
-        record["text"] = " ".join(tweet.tokens)
-    return record
-
-
 def tweets_to_jsonl(tweets: Iterable[Tweet]) -> str:
-    """Serialize tweets, one canonical JSON object per line."""
-    lines = [_encode(tweet_to_record(t)) for t in tweets]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Serialize tweets, one JSON object per line, keys and hashtags sorted.
+
+    A line is what ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+    writes for the record with ``text`` (the tokens joined by spaces, left
+    out when ``tokens`` is None), except that U+0085, U+2028 and U+2029
+    are written as JSON escapes, so ``str.splitlines()`` splits the
+    document only between records.
+    """
+    lines = []
+    for tweet in tweets:
+        tags = ", ".join(map(_quote, sorted(tweet.hashtags)))
+        text = "" if tweet.tokens is None else f'"text": {_quote(" ".join(tweet.tokens))}, '
+        lines.append(
+            f'{{"hashtags": [{tags}], {text}"timestamp": {tweet.time}, '
+            f'"tweet_id": {_quote(tweet.tweet_id)}, "user_id": {_quote(tweet.user_id)}}}'
+        )
+    document = "\n".join(lines) + ("\n" if lines else "")
+    if any(char in document for char in _LINE_BREAKS):
+        for char in _LINE_BREAKS:
+            document = document.replace(char, f"\\u{ord(char):04x}")
+    return document
 
 
 def follows_to_tsv(graph: FollowGraph, header_comments: Sequence[str] = ()) -> str:

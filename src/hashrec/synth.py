@@ -8,16 +8,26 @@ law.  Reuses are scheduled forward on an event heap the moment the
 source tweet is emitted, so realized reuse ages follow the planted
 delay distribution directly and the log-log age histogram comes out
 with slope close to -(alpha).  Everything is driven by one seeded
-numpy generator, so equal configs give byte-identical output.
+numpy generator, so equal configs give byte-identical output.  Its
+draws are taken in blocks (``_Stream``) that reproduce numpy's scalar
+stream exactly, so the output is the same as with one scalar call per
+draw; the writer escapes U+0085, U+2028 and U+2029 so that
+``str.splitlines()`` splits the JSONL only between tweets.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 import numbers
+from array import array
+from bisect import bisect_left
+from collections import deque
 from dataclasses import MISSING, asdict, dataclass
+from operator import length_hint
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +44,11 @@ REUSE_DELAY_MIN_GAPS = 10.0
 REUSE_DELAY_SPAN_FRACTION = 8.0
 
 _FRESH_DRAW_ATTEMPTS = 20
+
+# Uniforms _Stream draws at a time.  Each exponential draw gives back the
+# rest of a block; generate took about the same time with blocks of 8 to 128.
+_UNIFORM_BLOCK = 32
+_LOW32 = 0xFFFFFFFF
 
 _KIND_INDIVIDUAL = 0
 _KIND_SOCIAL = 1
@@ -156,12 +171,67 @@ class GenResult:
     stats: GenStats
 
 
-def _truncated_pareto(rng: np.random.Generator, alpha: float, lo: float, hi: float) -> float:
-    """Inverse-CDF draw with density proportional to a**-(1+alpha) on [lo, hi]."""
-    u = rng.random()
-    lo_a = lo**-alpha
-    hi_a = hi**-alpha
-    return (lo_a - u * (lo_a - hi_a)) ** (-1.0 / alpha)
+class _Stream:
+    """The scalar draws of one PCG64 ``Generator``, taken in blocks.
+
+    ``random()``, ``integers(n)`` and ``exponential(scale)`` return
+    exactly what the same calls on the generator return, in the same
+    order, at a fraction of the per-call cost.  Uniforms come from
+    ``rng.random(_UNIFORM_BLOCK)``, which yields the doubles of as many
+    scalar calls.  Before any other kind of draw, the words drawn ahead
+    are given back with ``advance``.  ``integers`` is numpy's 32-bit Lemire
+    draw (arXiv 1805.10941) on PCG64's ``next_uint32``, which returns
+    the low half of a fresh word and keeps the high half for the next
+    call; ``advance`` resets numpy's copy of that half, so the stream
+    keeps its own.  numpy's exponential ziggurat is not reachable from
+    Python, so ``exponential`` calls the generator itself.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._bitgen = rng.bit_generator
+        self._ahead: Iterator[float] = iter(())
+        state = self._bitgen.state
+        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
+        self.random: Callable[[], float] = self._uniforms().__next__
+
+    def _uniforms(self) -> Iterator[float]:
+        while True:
+            self._ahead = iter(self._rng.random(_UNIFORM_BLOCK).tolist())
+            yield from self._ahead
+
+    def _rewind(self) -> None:
+        """Give back the uniforms drawn ahead, so the generator's next word is the stream's."""
+        ahead = length_hint(self._ahead)
+        if ahead:
+            self._bitgen.advance(-ahead)
+            deque(self._ahead, maxlen=0)
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        self._rewind()
+        word = self._bitgen.random_raw()
+        self._half = word >> 32
+        return word & _LOW32
+
+    def integers(self, n: int) -> int:
+        """``rng.integers(n)`` for 1 <= n <= 2**32; numpy draws larger n on a 64-bit path."""
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        product = self._next32() * n
+        if product & _LOW32 < n:
+            threshold = (2**32 - n) % n
+            while product & _LOW32 < threshold:
+                product = self._next32() * n
+        return product >> 32
+
+    def exponential(self, scale: float) -> float:
+        self._rewind()
+        return self._rng.exponential(scale)
 
 
 def _build_follow_graph(rng: np.random.Generator, config: GenConfig) -> tuple[dict[int, list[int]], list[list[int]]]:
@@ -195,95 +265,10 @@ def generate(config: GenConfig) -> GenResult:
     """
     rng = np.random.default_rng(config.seed)
     user_ids = [f"u{i:06d}" for i in range(config.n_users)]
-    # Tweets with one tag id share its hashtag set and token tuple, made on first use.
-    labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
-
     followees, followers = _build_follow_graph(rng, config)
-    n_edges = sum(len(v) for v in followees.values())
-    mean_followers = n_edges / config.n_users if config.n_users else 0.0
-    q_social = config.p_social / mean_followers if mean_followers > 0 else 0.0
-    if q_social > 1.0:
-        logger.warning(
-            "follow graph too sparse for p_social=%.3f (mean followers %.3f); social share will fall short",
-            config.p_social,
-            mean_followers,
-        )
-        q_social = 1.0
-
-    weights = 1.0 / np.arange(1, config.vocab_size + 1, dtype=float) ** config.zipf_s
-    zipf_cdf = np.cumsum(weights / weights.sum())
-
-    span = config.n_tweets * config.mean_gap
-    delay_lo = REUSE_DELAY_MIN_GAPS * config.mean_gap
-    delay_hi = max(span / REUSE_DELAY_SPAN_FRACTION, 1.5 * delay_lo)
-
-    base_keep = 1.0 - config.p_individual - config.p_social
-    base_gap = config.mean_gap / base_keep if base_keep > 0 else math.inf
-
-    stats = GenStats(n_edges=n_edges)
-    own_tags: list[set[int]] = [set() for _ in range(config.n_users)]
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-    tweets: list[Tweet] = []
-    last_time = float(config.start_time)
-    next_base = (
-        float(config.start_time) + rng.exponential(base_gap)
-        if math.isfinite(base_gap)
-        else math.inf
-    )
-
-    def fresh_tag(user: int) -> int:
-        history = own_tags[user]
-        tag = -1
-        for _ in range(_FRESH_DRAW_ATTEMPTS):
-            tag = int(np.searchsorted(zipf_cdf, rng.random()))
-            if tag not in history:
-                return tag
-        stats.n_fresh_collisions += 1
-        return tag
-
-    def emit(user: int, tag: int, time_f: float) -> None:
-        nonlocal seq, last_time
-        hashtags, tokens = labels.get(tag) or labels.setdefault(tag, (frozenset((f"h{tag:07d}",)), (f"w{tag:07d}",)))
-        tweets.append(Tweet(f"t{len(tweets):08d}", user_ids[user], int(round(time_f)), hashtags, tokens))
-        last_time = time_f
-        own_tags[user].add(tag)
-        if rng.random() < config.p_individual:
-            delay = _truncated_pareto(rng, config.alpha, delay_lo, delay_hi)
-            heapq.heappush(heap, (time_f + delay, seq, _KIND_INDIVIDUAL, user, tag))
-            seq += 1
-        if q_social > 0.0:
-            for follower in followers[user]:
-                if rng.random() < q_social:
-                    delay = _truncated_pareto(rng, config.alpha, delay_lo, delay_hi)
-                    heapq.heappush(heap, (time_f + delay, seq, _KIND_SOCIAL, follower, tag))
-                    seq += 1
-
-    while len(tweets) < config.n_tweets:
-        if heap and heap[0][0] <= next_base:
-            time_f, _, kind, user, tag = heapq.heappop(heap)
-            if kind == _KIND_SOCIAL and tag in own_tags[user]:
-                stats.n_social_cancelled += 1
-                continue
-            emit(user, tag, time_f)
-            if kind == _KIND_INDIVIDUAL:
-                stats.n_individual += 1
-            else:
-                stats.n_social += 1
-        else:
-            if math.isfinite(next_base):
-                time_f = next_base
-                next_base += rng.exponential(base_gap)
-            else:
-                # Entire stream is scheduled reuse; keep time moving
-                # when nothing is pending yet (at most the first tweet).
-                time_f = last_time + rng.exponential(config.mean_gap)
-            user = int(rng.integers(config.n_users))
-            emit(user, fresh_tag(user), time_f)
-            stats.n_fresh += 1
-
-    stats.n_tweets = len(tweets)
-    stats.n_unfired_events = len(heap)
+    stats = GenStats(n_edges=sum(len(v) for v in followees.values()))
+    # The simulation's tables die with its frame, before the writer runs.
+    tweets = _simulate(config, _Stream(rng), user_ids, followers, stats)
     logger.info(
         "generated %d tweets: fresh=%d individual=%d (%.3f) social=%d (%.3f) "
         "cancelled=%d collisions=%d unfired=%d",
@@ -313,3 +298,102 @@ def generate(config: GenConfig) -> GenResult:
         follows_tsv=follows_to_tsv(graph, header_comments=header),
         stats=stats,
     )
+
+
+def _simulate(
+    config: GenConfig, stream: _Stream, user_ids: list[str], followers: list[list[int]], stats: GenStats
+) -> list[Tweet]:
+    """Run the event loop of ``generate``; fills ``stats`` and returns the tweets in emission order."""
+    uniform = stream.random
+    # Tweets with one tag id share its hashtag set and token tuple, made on first use.
+    labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
+
+    mean_followers = stats.n_edges / config.n_users
+    q_social = config.p_social / mean_followers if mean_followers > 0 else 0.0
+    if q_social > 1.0:
+        logger.warning(
+            "follow graph too sparse for p_social=%.3f (mean followers %.3f); social share will fall short",
+            config.p_social,
+            mean_followers,
+        )
+        q_social = 1.0
+
+    weights = 1.0 / np.arange(1, config.vocab_size + 1, dtype=float) ** config.zipf_s
+    # bisect_left on the doubles finds the index np.searchsorted finds,
+    # config.vocab_size included.  A list of floats would take four times
+    # the memory and raised the benchmark's peak RSS.
+    zipf_cdf = array("d", np.cumsum(weights / weights.sum()).tobytes())
+
+    # Delays follow the inverse CDF of a density proportional to a**-(1+alpha) on [lo, hi].
+    span = config.n_tweets * config.mean_gap
+    delay_lo = REUSE_DELAY_MIN_GAPS * config.mean_gap
+    delay_hi = max(span / REUSE_DELAY_SPAN_FRACTION, 1.5 * delay_lo)
+    lo_a = delay_lo**-config.alpha
+    width_a = lo_a - delay_hi**-config.alpha
+    delay_power = -1.0 / config.alpha
+
+    base_keep = 1.0 - config.p_individual - config.p_social
+    base_gap = config.mean_gap / base_keep if base_keep > 0 else math.inf
+
+    own_tags: list[set[int]] = [set() for _ in range(config.n_users)]
+    heap: list[tuple[float, int, int, int, int]] = []
+    seq = itertools.count()
+    tweets: list[Tweet] = []
+    last_time = float(config.start_time)
+    next_base = (
+        float(config.start_time) + stream.exponential(base_gap)
+        if math.isfinite(base_gap)
+        else math.inf
+    )
+
+    def fresh_tag(user: int) -> int:
+        history = own_tags[user]
+        tag = -1
+        for _ in range(_FRESH_DRAW_ATTEMPTS):
+            tag = bisect_left(zipf_cdf, uniform())
+            if tag not in history:
+                return tag
+        stats.n_fresh_collisions += 1
+        return tag
+
+    def emit(user: int, tag: int, time_f: float) -> None:
+        nonlocal last_time
+        hashtags, tokens = labels.get(tag) or labels.setdefault(tag, (frozenset((f"h{tag:07d}",)), (f"w{tag:07d}",)))
+        tweets.append(Tweet(f"t{len(tweets):08d}", user_ids[user], int(round(time_f)), hashtags, tokens))
+        last_time = time_f
+        own_tags[user].add(tag)
+        if uniform() < config.p_individual:
+            delay = (lo_a - uniform() * width_a) ** delay_power
+            heapq.heappush(heap, (time_f + delay, next(seq), _KIND_INDIVIDUAL, user, tag))
+        if q_social > 0.0:
+            for follower in followers[user]:
+                if uniform() < q_social:
+                    delay = (lo_a - uniform() * width_a) ** delay_power
+                    heapq.heappush(heap, (time_f + delay, next(seq), _KIND_SOCIAL, follower, tag))
+
+    while len(tweets) < config.n_tweets:
+        if heap and heap[0][0] <= next_base:
+            time_f, _, kind, user, tag = heapq.heappop(heap)
+            if kind == _KIND_SOCIAL and tag in own_tags[user]:
+                stats.n_social_cancelled += 1
+                continue
+            emit(user, tag, time_f)
+            if kind == _KIND_INDIVIDUAL:
+                stats.n_individual += 1
+            else:
+                stats.n_social += 1
+        else:
+            if math.isfinite(next_base):
+                time_f = next_base
+                next_base += stream.exponential(base_gap)
+            else:
+                # Entire stream is scheduled reuse; keep time moving
+                # when nothing is pending yet (at most the first tweet).
+                time_f = last_time + stream.exponential(config.mean_gap)
+            user = stream.integers(config.n_users)
+            emit(user, fresh_tag(user), time_f)
+            stats.n_fresh += 1
+
+    stats.n_tweets = len(tweets)
+    stats.n_unfired_events = len(heap)
+    return tweets

@@ -6,6 +6,7 @@ the planted decay exponent, the reuse shares, and the recency structure
 the activation recommender is supposed to exploit.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -57,7 +58,19 @@ def synth_run():
         parse_follows(result.follows_tsv.splitlines()),
     )
     seconds = time.perf_counter() - start
-    return {"corpus": corpus, "stats": result.stats, "gen_seconds": seconds}
+    sha256 = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in (("tweets.jsonl", result.tweets_jsonl), ("follows.tsv", result.follows_tsv))
+    }
+    return {"corpus": corpus, "stats": result.stats, "gen_seconds": seconds, "sha256": sha256}
+
+
+def test_accept_config_bytes_are_pinned(synth_run):
+    """Recorded from the scalar-draw generator; the random stream and the writer must not drift."""
+    assert synth_run["sha256"] == {
+        "tweets.jsonl": "552e8156b35493124ec43f021d71f26f91b276d4e632274a441651be1a086a5a",
+        "follows.tsv": "42628a0e00dee132b38ca244f723ddb944ed098b13b837447db579062bcfa55c",
+    }
 
 
 def test_criterion_1_large_scale_numbers_replaced_by_property_checks():

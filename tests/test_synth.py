@@ -1,11 +1,13 @@
 """Synthetic corpus generator: validation, determinism, planted structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hashrec.corpus import build_corpus, parse_follows, parse_tweets
 from hashrec.reuse import ReuseCategory, category_distribution
-from hashrec.synth import GenConfig, generate
+from hashrec.synth import _UNIFORM_BLOCK, GenConfig, _Stream, generate
 
 
 def small_config(**overrides):
@@ -103,6 +105,90 @@ class TestDeterminism:
         result = generate(small_config())
         header = result.follows_tsv.splitlines()[1]
         assert header.startswith("#") and "PCG64" in header and "seed=42" in header
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+PINNED_SMALL = dict(
+    n_users=30, n_tweets=2_000, follow_prob=0.1, p_individual=0.45, p_social=0.22,
+    alpha=1.0, zipf_s=0.6, vocab_size=500, seed=5,
+)
+
+
+class TestPinnedStream:
+    """Output bytes recorded from the scalar-draw generator; a drift in the random stream moves them."""
+
+    @pytest.mark.parametrize(
+        "overrides,tweets_sha,follows_sha",
+        [
+            # One user: integers(1) draws nothing.
+            ({"n_users": 1, "p_social": 0.0},
+             "afc4fddc90186121c952c218d46c2c0392a94fb83b95aad4e74c43d9f5536dae",
+             "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9"),
+            # p_individual + p_social = 1: no baseline stream, infinite base gap.
+            ({"p_individual": 0.6, "p_social": 0.4},
+             "3e5f9ee4f4cfe905c1d7e0e48716f2e9aba764015b95d8bf759187445debbacc",
+             "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df"),
+            # No edges, so no social draws.
+            ({"follow_prob": 0.0, "p_social": 0.0},
+             "399b51d0791034965402731737ea5101dece5d35df606b7a3afec4dc900b5d3d",
+             "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9"),
+            ({"follow_prob": 1.0},
+             "39e4b9cd245ccf397bba06557b6eed8554b225fe235b3cc85d6b2962cd561de1",
+             "892a35acc48c1d9f1117cc5940c84f8bc84cc65cc5f34f177be5cce0f5fa7769"),
+            # A graph too sparse for p_social: every follower adopts.
+            ({"follow_prob": 0.01, "p_social": 0.5},
+             "6aabefa6e4af8dafc0fe4e411c4b0df005fc63de7a2fe557c75303092b7bc409",
+             "b0955bfa6d85ca8b049223809e0352caee08f47bc13b66989975426a95af9038"),
+            # One hashtag: every fresh draw collides.
+            ({"vocab_size": 1},
+             "5132c92ef9acab8f04ce8c1a3989ffe66e6c662de9378b5ebcec86cf387230e3",
+             "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df"),
+        ],
+    )
+    def test_degenerate_configs_keep_their_bytes(self, overrides, tweets_sha, follows_sha):
+        result = generate(GenConfig(**{**PINNED_SMALL, **overrides}))
+        assert sha256(result.tweets_jsonl) == tweets_sha
+        assert sha256(result.follows_tsv) == follows_sha
+
+
+INTEGER_BOUNDS = (1, 2, 3, 280, 2**31 + 1, 2**32)
+
+
+class TestStream:
+    """``_Stream`` against a second generator making the scalar calls."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_scalar_calls_in_any_interleaving(self, seed):
+        plan = np.random.default_rng([seed, 1])
+        expected = np.random.default_rng(seed)
+        drawn = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            # A half-word buffered before the stream starts is used first.
+            assert drawn.integers(7) == expected.integers(7)
+        stream = _Stream(drawn)
+        for _ in range(120):
+            kind = plan.integers(3)
+            # Runs longer than a block run out of it mid-run; runs of integers use the buffered half-word.
+            run = int(plan.integers(1, 3 * _UNIFORM_BLOCK)) if kind == 0 else int(plan.integers(1, 5))
+            for _ in range(run):
+                if kind == 0:
+                    assert stream.random() == expected.random()
+                elif kind == 1:
+                    n = INTEGER_BOUNDS[plan.integers(len(INTEGER_BOUNDS))]
+                    value = stream.integers(n)
+                    assert type(value) is int and value == expected.integers(n)
+                else:
+                    scale = float(plan.choice([1e-3, 1.0, 60.0, 1e6]))
+                    assert stream.exponential(scale) == expected.exponential(scale)
+        assert stream.random() == expected.random()
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
+    def test_integers_outside_the_32_bit_draw_rejected(self, n):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _Stream(np.random.default_rng(0)).integers(n)
 
 
 class TestDegenerateConfigs:
