@@ -8,7 +8,8 @@ mixed by a weight beta to produce the final ranking.
 
 Scoring runs on the usage index's per-user (time, hashtag id) columns:
 each query cuts them at its time and sums, softmaxes, mixes and ranks
-whole arrays.  ``base_level_activation`` is the scalar definition the
+whole arrays, and sorts only the candidates scoring at least the k-th
+largest score.  ``base_level_activation`` is the scalar definition the
 tests check those arrays against.
 """
 
@@ -68,21 +69,37 @@ class TagScores(Mapping[str, float]):
     def mix(self, other: TagScores, weight: float) -> TagScores:
         """``mix_scores(self, other, weight)``: the blend over the union of
         both id sets, a missing side counting 0."""
-        # Not np.union1d: its np.unique path imports numpy.ma, which
-        # costs about 1.3 MB of resident memory.
-        ids, slots = np.unique(np.concatenate((self.ids, other.ids)), return_inverse=True)
+        ids, slots = _group(np.concatenate((self.ids, other.ids)))
         mine, theirs = np.zeros(ids.size), np.zeros(ids.size)
         mine[slots[: self.ids.size]] = self.scores
         theirs[slots[self.ids.size :]] = other.scores
         return TagScores(self.tags, ids, _blend(mine, theirs, weight))
 
     def top_k(self, k: int) -> ScoredList:
-        """``rank_top_k`` of the view: id order is hashtag order, so
-        ties still break by hashtag ascending."""
+        """``rank_top_k`` of the view.  Only the scores at or above the k-th
+        largest are sorted, all its ties included, and id order is hashtag
+        order, so ties still break by hashtag ascending."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        order = np.lexsort((self.ids, -self.scores))[:k]
-        return list(zip(map(self.tags.__getitem__, self.ids[order].tolist()), self.scores[order].tolist()))
+        ids, scores = self.ids, self.scores
+        if scores.size > k:
+            keep = (scores >= np.partition(scores, -k)[-k]).nonzero()[0]
+            ids, scores = ids[keep], scores[keep]
+        order = np.lexsort((ids, -scores))[:k]
+        return list(zip(map(self.tags.__getitem__, ids[order].tolist()), scores[order].tolist()))
+
+
+def _group(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` from one argsort: the starts
+    of the sorted runs, and their running count put back in input order."""
+    order = ids.argsort()
+    ordered = ids[order]
+    starts = np.empty(ids.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(ids.size, dtype=np.intp)
+    inverse[order] = starts.cumsum() - 1
+    return ordered[starts.nonzero()[0]], inverse
 
 
 @dataclass(frozen=True)
@@ -142,7 +159,7 @@ def _activations(
     times, ids = index.uses_before(users, now)
     if not ids.size:
         return TagScores(index.tags, _NO_IDS, _NO_VALUES)
-    present, inverse = np.unique(ids, return_inverse=True)
+    present, inverse = _group(ids)
     # float(now) - t is float(now - t) for times below 2**53, and it
     # cannot overflow int64 the way now - t can.
     ages = np.maximum(float(now) - times, min_age)

@@ -190,22 +190,24 @@ class _Stream:
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
         self._bitgen = rng.bit_generator
-        self._ahead: Iterator[float] = iter(())
+        # The block being handed out; _uniforms gets it, not the stream, so no cycle.
+        self._ahead: list[Iterator[float]] = [iter(())]
         state = self._bitgen.state
         self._half: int | None = state["uinteger"] if state["has_uint32"] else None
-        self.random: Callable[[], float] = self._uniforms().__next__
+        self.random: Callable[[], float] = self._uniforms(rng, self._ahead).__next__
 
-    def _uniforms(self) -> Iterator[float]:
+    @staticmethod
+    def _uniforms(rng: np.random.Generator, ahead: list[Iterator[float]]) -> Iterator[float]:
         while True:
-            self._ahead = iter(self._rng.random(_UNIFORM_BLOCK).tolist())
-            yield from self._ahead
+            ahead[0] = iter(rng.random(_UNIFORM_BLOCK).tolist())
+            yield from ahead[0]
 
     def _rewind(self) -> None:
         """Give back the uniforms drawn ahead, so the generator's next word is the stream's."""
-        ahead = length_hint(self._ahead)
+        ahead = length_hint(self._ahead[0])
         if ahead:
             self._bitgen.advance(-ahead)
-            deque(self._ahead, maxlen=0)
+            deque(self._ahead[0], maxlen=0)
 
     def _next32(self) -> int:
         if self._half is not None:

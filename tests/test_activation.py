@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashrec.activation import (
     ActivationParams,
+    TagScores,
+    _group,
     base_level_activation,
     history_scores,
     individual_activations,
@@ -414,3 +418,72 @@ class TestArrayPathAgainstScalarOracle:
         assert "b" not in acts and "zz" not in acts and acts.get("b") is None
         with pytest.raises(KeyError):
             acts["b"]
+
+
+@st.composite
+def tag_views(draw, tags=None):
+    """A ``TagScores`` over a few distinct score values, so ties straddle the k-th place."""
+    if tags is None:
+        tags = sorted(draw(st.lists(st.text(max_size=3), unique=True, max_size=30)))
+    ids = sorted(draw(st.sets(st.integers(0, max(len(tags) - 1, 0)), max_size=len(tags))))
+    pool = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+    scores = [draw(st.sampled_from(pool)) for _ in ids]
+    return TagScores(tags, np.array(ids, dtype=np.int32), np.array(scores, dtype=float))
+
+
+class TestTagScoresAgainstDicts:
+    """The view's array methods against the dict functions they stand for."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(view=tag_views(), extra_k=st.integers(1, 40))
+    def test_top_k_is_rank_top_k(self, view, extra_k):
+        n = len(view)
+        for k in sorted({1, n - 1, n, n + 1, extra_k} - {-1, 0}):
+            assert view.top_k(k) == rank_top_k(dict(view), k)
+
+    def test_top_k_of_the_empty_view(self):
+        empty = TagScores(["a", "b"], np.empty(0, dtype=np.int32), np.empty(0))
+        for k in (1, 2, 10):
+            assert empty.top_k(k) == []
+        with pytest.raises(ValueError):
+            empty.top_k(0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), weight=st.floats(0.0, 1.0))
+    def test_mix_is_mix_scores(self, data, weight):
+        tags = sorted(data.draw(st.lists(st.text(max_size=3), unique=True, max_size=30)))
+        mine, theirs = data.draw(tag_views(tags)), data.draw(tag_views(tags))
+        mixed = mine.mix(theirs, weight)
+        assert mixed.ids.dtype == np.int32
+        assert (np.diff(mixed.ids) > 0).all()
+        assert dict(mixed) == mix_scores(dict(mine), dict(theirs), weight)
+
+    def test_mix_with_empty_sides(self):
+        tags = ["a", "b", "c"]
+        empty = TagScores(tags, np.empty(0, dtype=np.int32), np.empty(0))
+        full = TagScores(tags, np.array([0, 2], dtype=np.int32), np.array([0.75, 0.25]))
+        for mine, theirs in ((empty, empty), (empty, full), (full, empty)):
+            mixed = mine.mix(theirs, 0.25)
+            assert mixed.ids.dtype == np.int32
+            assert dict(mixed) == mix_scores(dict(mine), dict(theirs), 0.25)
+
+
+class TestGroup:
+    """``_group`` against ``np.unique(x, return_inverse=True)``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int32),
+            np.array([7], dtype=np.int32),
+            np.full(9, 4, dtype=np.int32),
+            *(np.random.default_rng(seed).integers(-5, 40, size=200).astype(np.int32) for seed in range(5)),
+            np.random.default_rng(5).integers(0, 2**31 - 1, size=1000).astype(np.int32),
+        ],
+    )
+    def test_matches_np_unique(self, values):
+        present, inverse = _group(values)
+        expected_present, expected_inverse = np.unique(values, return_inverse=True)
+        assert present.dtype == expected_present.dtype and inverse.dtype == expected_inverse.dtype
+        np.testing.assert_array_equal(present, expected_present)
+        np.testing.assert_array_equal(inverse, expected_inverse)

@@ -1,11 +1,13 @@
 """Ranking metrics and the offline evaluation harness."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hashrec.corpus import FollowGraph, Tweet, build_corpus, chronological_split
+from hashrec.corpus import FollowGraph, Tweet, build_corpus, chronological_split, parse_follows, parse_tweets
 from hashrec.evaluation import (
     average_precision,
     mrr,
@@ -16,6 +18,7 @@ from hashrec.evaluation import (
     recall_at_k,
     run_eval,
 )
+from hashrec.synth import GenConfig, generate
 
 
 def make_tweet(tweet_id, user_id, time, hashtags, tokens=None):
@@ -271,3 +274,43 @@ class TestPrCurve:
         for report in run_eval(train, test, k_max=4).values():
             values = report.precision + report.recall + [report.f1_at_5, report.mrr, report.map, report.ndcg]
             assert all(0.0 <= v <= 1.0 for v in values)
+
+
+# The seed-7 corpus of CI's hash-seed step.
+SEED7_CONFIG = GenConfig(
+    n_users=80, n_tweets=6000, follow_prob=0.05, p_individual=0.45, p_social=0.22,
+    alpha=1.0, zipf_s=0.6, vocab_size=2000, seed=7,
+)
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True), recorded from
+# the full-sort ranking; scenario 2 changes only bll_isc.
+PINNED_REPORTS = {
+    "bll_is": "51225093f89118a1d88d3b24d92ef803c9bcb8c7b713df520abe6ff7e93408d8",
+    "bll_isc": "ee10d8f6f7de1fa6c2ae04e1c088a4819449c42589770cb1aca9ced34bfae6b7",
+    "mp": "ebe2f035303712a5d1b082e30f2d6fb18aec40c1a8b23dbc039787a92bd62c6c",
+    "mp_u": "3104f50eec73fa1730d38e14b897fa054cb0187a9693e1e54653eb9108cce5cf",
+    "mp_s": "ef93e9c243e9255f7e4a4d474ddc84f26bebf90a0719c51423c39174c3633cc9",
+    "mr": "bb22c260e271c2d7f2e78d60587fc306857a09a93519018f3ae31e2b62e1c9cf",
+}
+PINNED_SCENARIO_2_BLL_ISC = "faeee92569ce7f2badf7ef462147396d6b658103ee2423a53eeae8b8f56b3cf8"
+
+
+@pytest.fixture(scope="module")
+def seed7_split():
+    result = generate(SEED7_CONFIG)
+    corpus = build_corpus(parse_tweets(result.tweets_jsonl.splitlines()), parse_follows(result.follows_tsv.splitlines()))
+    return chronological_split(corpus)
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_seed7_reports_are_pinned(seed7_split, scenario):
+    """Any change to a ranking or its tie order changes some report."""
+    train, test = seed7_split
+    expected = dict(PINNED_REPORTS)
+    if scenario == 2:
+        expected["bll_isc"] = PINNED_SCENARIO_2_BLL_ISC
+    reports = run_eval(train, test, scenario=scenario)
+    assert {
+        name: hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+        for name, report in reports.items()
+    } == expected

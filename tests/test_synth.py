@@ -1,6 +1,8 @@
 """Synthetic corpus generator: validation, determinism, planted structure."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -189,6 +191,19 @@ class TestStream:
     def test_integers_outside_the_32_bit_draw_rejected(self, n):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             _Stream(np.random.default_rng(0)).integers(n)
+
+    def test_freed_by_reference_counting_alone(self):
+        """No reference cycle: the stream dies with its last reference."""
+        stream = _Stream(np.random.default_rng(0))
+        stream.random()
+        stream.integers(3)
+        ref = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDegenerateConfigs:
