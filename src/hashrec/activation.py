@@ -9,8 +9,8 @@ mixed by a weight beta to produce the final ranking.
 Scoring runs on the usage index's per-user (time, hashtag id) columns:
 each query cuts them at its time and sums, softmaxes, mixes and ranks
 whole arrays, and sorts only the candidates scoring at least the k-th
-largest score.  ``base_level_activation`` is the scalar definition the
-tests check those arrays against.
+largest score.  ``base_level_activation`` is the one-hashtag case of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -124,22 +124,37 @@ class ActivationParams:
             raise ValueError("beta must lie in [0, 1]")
 
 
+def _log_sums(ages: np.ndarray, groups: np.ndarray, d: float) -> np.ndarray:
+    """ln of each group's sum of age**(-d), groups numbered 0, 1, ...
+
+    ``bincount`` adds every group's terms in input order.  A sum whose
+    every term underflows to 0 is taken as the log-sum-exp of
+    -d * ln(age), so its group ranks last instead of scoring -inf.
+    """
+    sums = np.bincount(groups, ages**-d)
+    if sums.all():
+        return np.log(sums)
+    logs = -d * np.log(ages)
+    peak = np.full(sums.size, -np.inf)
+    np.maximum.at(peak, groups, logs)
+    log_sum_exp = peak + np.log(np.bincount(groups, np.exp(logs - peak[groups])))
+    return np.log(sums, out=log_sum_exp, where=sums > 0)
+
+
 def base_level_activation(use_ages: Iterable[float], d: float) -> float:
     """ln of the sum of age**(-d) over all past-use ages.
 
-    Ages must be positive; an empty history is an error because the
-    logarithm of zero is undefined.
+    Ages must be positive and finite, and so must ``d``; an empty
+    history is an error because the logarithm of zero is undefined.
     """
-    total = 0.0
-    n = 0
-    for age in use_ages:
-        if age <= 0:
-            raise ValueError("use ages must be positive")
-        total += age ** (-d)
-        n += 1
-    if n == 0:
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError("d must be positive and finite")
+    ages = np.fromiter(use_ages, dtype=float)
+    if not ages.size:
         raise ValueError("cannot compute activation of an empty history")
-    return math.log(total)
+    if not ((ages > 0) & (ages < math.inf)).all():
+        raise ValueError("use ages must be positive and finite")
+    return float(_log_sums(ages, np.zeros(ages.size, dtype=np.intp), d)[0])
 
 
 def _activations(
@@ -149,13 +164,8 @@ def _activations(
     d: float,
     min_age: float,
 ) -> TagScores:
-    """Base-level activation of every hashtag the users used before now.
-
-    ``bincount`` adds every hashtag's terms in the order of
-    ``UsageIndex.uses_before``, so they sum in the order of the scalar
-    definition.  A sum whose every term underflows to 0 is taken as the
-    log-sum-exp of -d * ln(age), so its hashtag ranks last.
-    """
+    """Base-level activation of every hashtag the users used before now,
+    each hashtag's terms summed in the order of ``UsageIndex.uses_before``."""
     times, ids = index.uses_before(users, now)
     if not ids.size:
         return TagScores(index.tags, _NO_IDS, _NO_VALUES)
@@ -163,14 +173,7 @@ def _activations(
     # float(now) - t is float(now - t) for times below 2**53, and it
     # cannot overflow int64 the way now - t can.
     ages = np.maximum(float(now) - times, min_age)
-    sums = np.bincount(inverse, ages**-d)
-    if sums.all():
-        return TagScores(index.tags, present, np.log(sums))
-    logs = -d * np.log(ages)
-    peak = np.full(sums.size, -np.inf)
-    np.maximum.at(peak, inverse, logs)
-    log_sum_exp = peak + np.log(np.bincount(inverse, np.exp(logs - peak[inverse])))
-    return TagScores(index.tags, present, np.log(sums, out=log_sum_exp, where=sums > 0))
+    return TagScores(index.tags, present, _log_sums(ages, inverse, d))
 
 
 def individual_activations(

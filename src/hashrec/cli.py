@@ -85,6 +85,13 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d-ind", type=float, default=0.5, help="decay exponent for own history")
     parser.add_argument("--d-soc", type=float, default=0.5, help="decay exponent for followee history")
     parser.add_argument("--beta", type=float, default=0.5, help="weight of individual vs social signal")
+    parser.add_argument(
+        "--lambda",
+        dest="lambda_weight",
+        type=float,
+        default=0.5,
+        help="weight of history vs content in the blended recommender",
+    )
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser, follows_required: bool = False) -> None:
@@ -142,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--k", type=int, default=10, help="number of hashtags to return")
     _add_params_flags(p_rec)
     p_rec.add_argument("--text", default=None, help="query text; enables content blending")
-    p_rec.add_argument(
-        "--lambda",
-        dest="lambda_weight",
-        type=float,
-        default=0.5,
-        help="weight of history vs content when --text is given",
-    )
 
     p_eval = sub.add_parser(
         "evaluate",
@@ -166,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--holdout", type=int, default=1, help="hashtag tweets held out per user")
     p_eval.add_argument("--k-max", type=int, default=10, help="largest list length to score")
     _add_params_flags(p_eval)
-    p_eval.add_argument(
-        "--lambda",
-        dest="lambda_weight",
-        type=float,
-        default=0.5,
-        help="weight of history vs content for the blended recommender",
-    )
     return parser
 
 

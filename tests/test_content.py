@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hashrec.activation import (
     ActivationParams,
-    base_level_activation,
     history_scores,
     mix_scores,
     normalize_softmax,
@@ -271,7 +270,11 @@ class TestRecommendBllIsc:
                 if user in users and time < now:
                     for tag in tags:
                         ages.setdefault(tag, []).append(now - time)
-            return softmax({tag: base_level_activation(a, d) for tag, a in ages.items()})
+            # exp/log per term summed by fsum: independent of the kernel
+            return softmax({
+                tag: math.log(math.fsum(math.exp(-d * math.log(age)) for age in a))
+                for tag, a in ages.items()
+            })
 
         own = activations({"u1"}, params.d_individual)
         social = activations({"u2", "u3"}, params.d_social)
