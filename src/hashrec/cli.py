@@ -94,14 +94,9 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_corpus_flags(parser: argparse.ArgumentParser, follows_required: bool = False) -> None:
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tweets", required=True, help="tweets JSONL file")
-    parser.add_argument(
-        "--follows",
-        required=follows_required,
-        default=None,
-        help="follow edges TSV file" + ("" if follows_required else " (optional)"),
-    )
+    parser.add_argument("--follows", default=None, help="follow edges TSV file (optional)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,14 +34,13 @@ class TokenHashtagProfile:
 
     ``doc_count`` counts training tweets that carried tokens.  ``df[w]``
     counts those tweets containing w at least once.  ``assoc[w][h]``
-    counts tweets where token w and hashtag h appeared together;
-    ``assoc_total[w]`` is the row sum used to spread a token's vote.
+    counts tweets where token w and hashtag h appeared together; the
+    row's sum spreads w's vote over its hashtags.
     """
 
     doc_count: int
     df: Mapping[str, int]
     assoc: Mapping[str, Mapping[str, int]]
-    assoc_total: Mapping[str, int]
 
 
 def profiles_before(
@@ -60,7 +59,6 @@ def profiles_before(
     kept = None if tokens is None else frozenset(tokens)
     df: dict[str, int] = {}
     assoc: dict[str, Counter[str]] = {}
-    assoc_total: dict[str, int] = {}
     for now in times:
         if not now >= previous:
             raise ValueError(f"times must be ascending, but {now!r} follows {previous!r}")
@@ -73,8 +71,7 @@ def profiles_before(
                     df[token] = df.get(token, 0) + 1
                     if tweet.hashtags:
                         assoc.setdefault(token, Counter()).update(tweet.hashtags)
-                        assoc_total[token] = assoc_total.get(token, 0) + len(tweet.hashtags)
-        yield TokenHashtagProfile(doc_count, df, assoc, assoc_total)
+        yield TokenHashtagProfile(doc_count, df, assoc)
 
 
 def build_profiles(train: Corpus) -> TokenHashtagProfile:
@@ -102,7 +99,7 @@ def content_scores(profile: TokenHashtagProfile, tokens: Sequence[str]) -> dict[
         if not row:
             continue
         weight = tf[token] * idf(profile, token)
-        total = profile.assoc_total[token]
+        total = sum(row.values())
         for hashtag in sorted(row):
             scores[hashtag] = scores.get(hashtag, 0.0) + weight * row[hashtag] / total
     return scores

@@ -117,16 +117,24 @@ class FollowGraph:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Tweets sorted by (time, tweet_id) plus the follow graph."""
+    """Tweets sorted by (time, tweet_id) plus the follow graph.
+
+    These two are its only fields; ``users`` and ``index`` are derived
+    from them on first read.
+    """
 
     tweets: tuple[Tweet, ...]
     graph: FollowGraph
-    users: frozenset[str]
 
     def span_seconds(self) -> int:
         if len(self.tweets) < 2:
             return 0
         return self.tweets[-1].time - self.tweets[0].time
+
+    @cached_property
+    def users(self) -> frozenset[str]:
+        """The tweets' authors and every account in the follow graph."""
+        return frozenset({t.user_id for t in self.tweets} | self.graph.users())
 
     @cached_property
     def index(self) -> UsageIndex:
@@ -239,8 +247,7 @@ def build_corpus(tweets: Iterable[Tweet], graph: FollowGraph | None = None) -> C
         if tweet.tweet_id in seen:
             raise CorpusError(f"duplicate tweet_id {tweet.tweet_id!r}")
         seen.add(tweet.tweet_id)
-    users = {t.user_id for t in ordered} | graph.users()
-    return Corpus(tweets=ordered, graph=graph, users=frozenset(users))
+    return Corpus(tweets=ordered, graph=graph)
 
 
 def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corpus, list[Tweet]]:
@@ -261,16 +268,15 @@ def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corp
     test_ids = {t.tweet_id for tweets in held_out for t in tweets}
     train = tuple(t for t in corpus.tweets if t.tweet_id not in test_ids)
     test = [t for t in corpus.tweets if t.tweet_id in test_ids]
-    # Every held-out user keeps at least one training tweet, so the user set is unchanged.
-    return Corpus(tweets=train, graph=corpus.graph, users=corpus.users), test
+    return Corpus(tweets=train, graph=corpus.graph), test
 
 
 @dataclass(frozen=True, eq=False)
 class UsageIndex:
     """Hashtag usage events from a fixed tweet set, as time-sorted columns.
 
-    Hashtags are interned: ``tags`` holds them in sorted order and
-    ``tag_ids[h]`` is h's position there, so comparing ids compares
+    Hashtags are interned: ``tags`` holds them in sorted order and a
+    hashtag's id is its position there, so comparing ids compares
     hashtags.  ``times`` and ``ids`` are the global time column: every
     (tweet, hashtag) use once, as int64 time and int32 tag id, in (time,
     tweet_id) order with a tweet's hashtags sorted.  ``columns[u]`` is
@@ -281,7 +287,6 @@ class UsageIndex:
     """
 
     tags: tuple[str, ...]
-    tag_ids: Mapping[str, int]
     times: np.ndarray
     ids: np.ndarray
     columns: Mapping[str, tuple[np.ndarray, np.ndarray]]
@@ -315,11 +320,10 @@ class UsageIndex:
         return np.concatenate(times), np.concatenate(ids)
 
     def used_before(self, user_id: str, hashtag: str, now: Timestamp) -> bool:
-        # A hashtag the index never saw gets -1, which matches no id.
-        return bool((self.uses_before((user_id,), now)[1] == self.tag_ids.get(hashtag, -1)).any())
+        return hashtag in map(self.tags.__getitem__, self.uses_before((user_id,), now)[1].tolist())
 
     def anyone_used_before(self, hashtag: str, now: Timestamp) -> bool:
-        return bool((self.ids_before(now) == self.tag_ids.get(hashtag, -1)).any())
+        return hashtag in map(self.tags.__getitem__, self.ids_before(now).tolist())
 
 
 def _checked_now(now: Timestamp) -> Timestamp:
@@ -358,9 +362,9 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
                 row_times.append(tweet.time)
                 row_tags.append(first_seen.setdefault(tag, len(first_seen)))
     tags = tuple(sorted(first_seen))
-    tag_ids = {tag: i for i, tag in enumerate(tags)}
     # Tag ids were handed out in first-seen order; map them to sorted order.
-    interned = np.fromiter(map(tag_ids.__getitem__, first_seen), dtype=np.int32, count=len(tags))
+    interned = np.empty(len(tags), dtype=np.int32)
+    interned[list(map(first_seen.__getitem__, tags))] = np.arange(len(tags), dtype=np.int32)
     times = np.array(row_times, dtype=np.int64)
     ids = interned[np.array(row_tags, dtype=np.intp)]
     users = np.array(row_users, dtype=np.intp)
@@ -371,7 +375,7 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
         user: (user_times[start:end], user_ids[start:end])
         for user, start, end in zip(user_codes, [0] + ends, ends)
     }
-    return UsageIndex(tags=tags, tag_ids=tag_ids, times=_frozen(times), ids=_frozen(ids), columns=columns)
+    return UsageIndex(tags=tags, times=_frozen(times), ids=_frozen(ids), columns=columns)
 
 
 def tweets_to_jsonl(tweets: Iterable[Tweet]) -> str:

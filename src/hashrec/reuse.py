@@ -148,23 +148,21 @@ class AgeHistogram:
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
 
-def log_bucket_edges(
-    min_age: float, max_age: float, buckets_per_decade: int = BUCKETS_PER_DECADE
-) -> np.ndarray:
-    """Log-spaced edges 10**(i/buckets_per_decade) covering [min_age, max_age]."""
+def log_bucket_edges(min_age: float, max_age: float) -> np.ndarray:
+    """Log-spaced edges 10**(i/BUCKETS_PER_DECADE) covering [min_age, max_age]."""
     if min_age <= 0 or max_age < min_age:
         raise ValueError("ages must be positive with max_age >= min_age")
-    lo = math.floor(buckets_per_decade * math.log10(min_age))
-    hi = math.ceil(buckets_per_decade * math.log10(max_age))
+    lo = math.floor(BUCKETS_PER_DECADE * math.log10(min_age))
+    hi = math.ceil(BUCKETS_PER_DECADE * math.log10(max_age))
     # Float rounding in log10 can push the computed edge past the
     # extreme age; widen by one step so every age lands in a bucket.
-    while 10.0 ** (lo / buckets_per_decade) > min_age:
+    while 10.0 ** (lo / BUCKETS_PER_DECADE) > min_age:
         lo -= 1
-    while 10.0 ** (hi / buckets_per_decade) < max_age:
+    while 10.0 ** (hi / BUCKETS_PER_DECADE) < max_age:
         hi += 1
     if hi == lo:
         hi += 1
-    exponents = np.arange(lo, hi + 1, dtype=float) / buckets_per_decade
+    exponents = np.arange(lo, hi + 1, dtype=float) / BUCKETS_PER_DECADE
     return np.power(10.0, exponents)
 
 
@@ -175,12 +173,7 @@ def _reuse_ages(corpus: Corpus, kind: str) -> np.ndarray:
     return (distinct[rank[found]] - distinct[previous[found]]).astype(float)
 
 
-def reuse_age_histogram(
-    corpus: Corpus,
-    kind: str = "individual",
-    time_unit: str = "seconds",
-    buckets_per_decade: int = BUCKETS_PER_DECADE,
-) -> AgeHistogram:
+def reuse_age_histogram(corpus: Corpus, kind: str = "individual", time_unit: str = "seconds") -> AgeHistogram:
     """Histogram reuse ages on a log-spaced grid.
 
     ``kind`` selects which history defines a reuse: "individual" pairs
@@ -202,8 +195,8 @@ def reuse_age_histogram(
             f"({corpus.span_seconds()} s)"
         )
     ages = np.maximum(_reuse_ages(corpus, kind) / unit, 1.0)
-    lo, hi = (float(ages.min()), float(ages.max())) if ages.size else (1.0, 10.0 ** (1.0 / buckets_per_decade))
-    edges = log_bucket_edges(lo, hi, buckets_per_decade)
+    lo, hi = (float(ages.min()), float(ages.max())) if ages.size else (1.0, 10.0 ** (1.0 / BUCKETS_PER_DECADE))
+    edges = log_bucket_edges(lo, hi)
     counts, _ = np.histogram(ages, bins=edges)
     return AgeHistogram(edges=edges, counts=counts.astype(int), time_unit=time_unit)
 

@@ -47,7 +47,6 @@ class TestBuildProfiles:
         assert profile.doc_count == 1
         assert profile.df == {"deep": 1, "learning": 1}
         assert profile.assoc["deep"] == {"ml": 1}
-        assert profile.assoc_total["deep"] == 1
 
     def test_hashtagless_tweet_counts_for_df_only(self):
         profile = build_profiles(corpus_of([("u1", 1, [], ["deep"])]))
@@ -76,7 +75,6 @@ class TestBuildProfiles:
         assert profile.doc_count == 4
         assert profile.df == {"deep": 3, "net": 1, "sea": 2, "fish": 1}
         assert profile.assoc["deep"] == {"ml": 2, "ai": 1}
-        assert profile.assoc_total["deep"] == 3
         assert profile.assoc["sea"] == {"sea": 1}
 
 
@@ -108,7 +106,6 @@ class TestContentScores:
                 "filler1": {"ml": 2},
                 "filler2": {"ml": 1, "ai": 1},
             },
-            assoc_total={"deep": 4, "filler1": 2, "filler2": 2},
         )
 
     def test_hand_split_across_hashtags(self):
@@ -130,6 +127,23 @@ class TestContentScores:
     def test_token_seen_only_without_hashtags_skipped(self):
         profile = build_profiles(corpus_of([("u1", 1, [], ["lonely"]), ("u1", 2, ["x"], ["w"])]))
         assert content_scores(profile, ["lonely"]) == {}
+
+    def test_replayed_votes_split_by_the_row_sum(self):
+        # "deep" is in 3 of 4 docs and co-occurs with ml 2, ai 2 and nlp 1
+        # times (row sum 5); "text" is in 1 doc, with ml, ai and nlp once.
+        rows = [
+            ("u1", 1, ["ml", "ai"], ["deep"]),
+            ("u1", 2, ["ml", "nlp", "ai"], ["deep", "text", "deep"]),
+            ("u2", 3, [], ["deep"]),
+            ("u2", 4, ["sea"], ["fish"]),
+        ]
+        profile = build_profiles(corpus_of(rows))
+        scores = content_scores(profile, ["text", "deep"])
+        assert sorted(scores) == ["ai", "ml", "nlp"]
+        deep, text = math.log(4 / 3), math.log(4)
+        np.testing.assert_allclose(scores["ml"], deep * 2 / 5 + text / 3, rtol=1e-12)
+        np.testing.assert_allclose(scores["ai"], deep * 2 / 5 + text / 3, rtol=1e-12)
+        np.testing.assert_allclose(scores["nlp"], deep / 5 + text / 3, rtol=1e-12)
 
     def test_additive_over_token_multisets(self):
         profile = self.fixture_profile()
@@ -303,7 +317,7 @@ class TestRecommendBllIsc:
         corpus = corpus_of(rows, {"u1": ["u2"]})
         index = build_usage_index(corpus)
         profile = build_profiles(corpus_of(rows + unseen))
-        assert {"ñew", "aaa", "zzz"}.isdisjoint(index.tag_ids)
+        assert {"ñew", "aaa", "zzz"}.isdisjoint(index.tags)
         params = ActivationParams(beta=0.4)
         for lam in (0.0, 0.3, 1.0):
             for k in (1, 3, 10):

@@ -15,7 +15,7 @@ TAGS = ["a", "b", "c"]
 
 
 def recount(tweets, now):
-    """doc_count, df, assoc and assoc_total from the tweets strictly before ``now``."""
+    """doc_count, df and assoc from the tweets strictly before ``now``."""
     doc_count = 0
     df: Counter[str] = Counter()
     assoc: dict[str, Counter[str]] = {}
@@ -31,7 +31,6 @@ def recount(tweets, now):
         doc_count,
         dict(df),
         {token: dict(row) for token, row in assoc.items()},
-        {token: sum(row.values()) for token, row in assoc.items()},
     )
 
 
@@ -40,7 +39,6 @@ def as_tuple(profile):
         profile.doc_count,
         dict(profile.df),
         {token: dict(row) for token, row in profile.assoc.items()},
-        dict(profile.assoc_total),
     )
 
 
@@ -80,12 +78,11 @@ def test_a_profile_of_some_tokens_counts_them_as_the_full_profile_does(rows, tim
     pairs = zip(times, profiles_before(corpus, times), profiles_before(corpus, times, kept))
     # Each pair is read before the next is drawn: each replay shares its counters.
     for now, whole, part in pairs:
-        doc_count, df, assoc, assoc_total = recount(tweets, now)
+        doc_count, df, assoc = recount(tweets, now)
         assert as_tuple(part) == (
             doc_count,
             {token: n for token, n in df.items() if token in kept},
             {token: row for token, row in assoc.items() if token in kept},
-            {token: n for token, n in assoc_total.items() if token in kept},
         )
         query = data.draw(st.lists(st.sampled_from(sorted(kept)), max_size=5)) if kept else []
         assert content_scores(part, query) == content_scores(whole, query)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hashrec.activation import TagScores
 from hashrec.corpus import (
     CorpusError,
     FollowGraph,
@@ -415,9 +416,12 @@ class TestChronologicalSplit:
         for follower, followee in edges:
             followees.setdefault(follower, set()).add(followee)
         graph = FollowGraph({user: frozenset(targets) for user, targets in followees.items()})
-        train, test = chronological_split(build_corpus(tweets, graph), holdout)
+        corpus = build_corpus(tweets, graph)
+        train, test = chronological_split(corpus, holdout)
         oracle = build_corpus(train.tweets, graph)
         assert (train.tweets, train.graph, train.users) == (oracle.tweets, oracle.graph, oracle.users)
+        # Every held-out user keeps at least one training tweet.
+        assert train.users == corpus.users
         assert test == sorted(test, key=Tweet.sort_key)
 
 
@@ -473,6 +477,42 @@ class TestUsageIndex:
         assert index.anyone_used_before("a", 11)
         assert index.uses_before(["u1"], 10)[0].tolist() == []
         assert index.uses_before(["u1"], 11)[0].tolist() == [10]
+
+    # NEVER holds hashtags no index here interns: one sorting before every
+    # hashtag, ones between two, one after the last, and prefixes of
+    # internable ones; an INTERNABLE one goes unseen when no tweet draws it.
+    INTERNABLE = ["ab", "b", "bd", "c"]
+    NEVER = ["", "a", "aa", "ac", "ba", "bc", "be", "d"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1"]),
+                st.integers(0, 6),
+                st.frozensets(st.sampled_from(INTERNABLE), max_size=3),
+            ),
+            max_size=20,
+        ),
+        now=st.integers(-1, 8),
+    )
+    def test_lookups_equal_a_scan_of_the_tweets(self, rows, now):
+        tweets = [make_tweet(f"t{i:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+        index = build_usage_index(build_corpus(tweets))
+        earlier = [t for t in tweets if t.time < now]
+        counts = np.bincount(index.ids_before(now), minlength=len(index.tags))
+        present = np.flatnonzero(counts)
+        view = TagScores(index.tags, present, counts[present].astype(float))
+        for hashtag in self.INTERNABLE + self.NEVER:
+            anyone = [t for t in earlier if hashtag in t.hashtags]
+            assert index.anyone_used_before(hashtag, now) == bool(anyone)
+            for user in ("u0", "u1", "ghost"):
+                assert index.used_before(user, hashtag, now) == any(t.user_id == user for t in anyone)
+            if anyone:
+                assert view[hashtag] == len(anyone)
+            else:
+                with pytest.raises(KeyError):
+                    view[hashtag]
 
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 2**63])
     def test_a_query_time_the_columns_cannot_cut_is_rejected(self, now):
