@@ -194,7 +194,7 @@ def _decay_csv(corpus: Corpus, kind: str, time_unit: str) -> str:
         "age_midpoint,count",
     ]
     for mid, count in zip(hist.midpoints(), hist.counts):
-        lines.append(f"{mid!r},{int(count)}")
+        lines.append(f"{float(mid)!r},{int(count)}")
     return "\n".join(lines) + "\n"
 
 

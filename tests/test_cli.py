@@ -141,6 +141,18 @@ class TestAnalyze:
         assert decay[1] == "age_midpoint,count"
         assert (out / "decay_social.csv").exists()
 
+    @pytest.mark.parametrize("unit", ["seconds", "hours"])
+    def test_decay_rows_are_plain_numbers(self, corpus_dir, tmp_path, unit):
+        out = tmp_path / "analysis"
+        corpus = ("--tweets", str(corpus_dir / "tweets.jsonl"), "--follows", str(corpus_dir / "follows.tsv"))
+        assert run("analyze", *corpus, "--time-unit", unit, "--out", str(out)) == 0
+        for kind in ("individual", "social"):
+            rows = (out / f"decay_{kind}.csv").read_text(encoding="utf-8").splitlines()[2:]
+            assert rows
+            for row in rows:
+                mid, count = row.split(",")
+                assert float(mid) > 0 and int(count) >= 0
+
     def test_works_without_follow_graph(self, corpus_dir, tmp_path):
         out = tmp_path / "analysis"
         code = run("analyze", "--tweets", str(corpus_dir / "tweets.jsonl"), "--out", str(out))
