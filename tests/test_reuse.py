@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index
+from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index, parse_follows, parse_tweets
 from hashrec.reuse import (
     AgeHistogram,
     ReuseCategory,
@@ -18,6 +18,7 @@ from hashrec.reuse import (
     log_bucket_edges,
     reuse_age_histogram,
 )
+from hashrec.synth import GenConfig, generate
 
 
 def make_tweet(tweet_id, user_id, time, hashtags):
@@ -413,3 +414,51 @@ class TestFitPowerLaw:
             AgeHistogram(edges=np.array([2.0, 1.0, 3.0]), counts=np.array([1, 2]), time_unit="seconds")
         with pytest.raises(ValueError):
             AgeHistogram(edges=np.array([1.0, 2.0, 3.0]), counts=np.array([1, -2]), time_unit="seconds")
+
+
+# The seed-7 corpus of CI's hash-seed step.  Only integers are pinned:
+# the bucket edges come from np.power and the fits from polyfit, whose
+# last bits may move between numpy builds.
+SEED7_CONFIG = GenConfig(
+    n_users=80, n_tweets=6000, follow_prob=0.05, p_individual=0.45, p_social=0.22,
+    alpha=1.0, zipf_s=0.6, vocab_size=2000, seed=7,
+)
+PINNED_CATEGORY_COUNTS = {
+    "individual": 1656, "social": 1317, "individual_social": 1068, "network": 801, "external": 1158,
+}
+PINNED_HISTOGRAM_COUNTS = {
+    ("individual", "seconds"): [
+        122, 304, 243, 216, 189, 160, 157, 158, 128, 101, 114, 89, 84, 94, 62, 53, 56, 44, 46, 28,
+        46, 25, 19, 23, 20, 23, 19, 9, 18, 12, 7, 12, 13, 12, 4, 5, 5, 4,
+    ],
+    ("social", "seconds"): [
+        1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 5, 1, 3, 4, 3, 4, 1, 7, 3, 6, 6, 10, 8, 5, 14, 4, 11, 9,
+        10, 10, 12, 21, 10, 61, 126, 129, 103, 73, 83, 81, 76, 86, 82, 73, 76, 75, 76, 59, 67, 59, 61,
+        48, 56, 52, 33, 38, 43, 26, 33, 27, 26, 24, 25, 18, 19, 20, 14, 13, 18, 13, 12, 9, 12, 8, 10,
+        12, 16, 14, 12, 9, 6, 11, 17, 14, 10, 23, 11, 4, 1, 2,
+    ],
+    ("individual", "hours"): [
+        2333, 50, 42, 25, 45, 26, 19, 25, 17, 24, 19, 11, 14, 12, 9, 13, 14, 9, 3, 6, 6, 2,
+    ],
+    ("social", "hours"): [
+        1573, 60, 47, 59, 44, 35, 44, 35, 30, 31, 28, 25, 26, 23, 18, 17, 20, 17, 12, 17, 14, 10, 9,
+        12, 8, 11, 14, 15, 12, 13, 7, 8, 13, 15, 14, 9, 24, 10, 4, 2,
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def seed7_corpus():
+    result = generate(SEED7_CONFIG)
+    return build_corpus(parse_tweets(result.tweets_jsonl.splitlines()), parse_follows(result.follows_tsv.splitlines()))
+
+
+def test_seed7_category_counts_are_pinned(seed7_corpus):
+    distribution = category_distribution(seed7_corpus)
+    assert {category.value: count for category, (count, _) in distribution.items()} == PINNED_CATEGORY_COUNTS
+
+
+@pytest.mark.parametrize("kind, time_unit", sorted(PINNED_HISTOGRAM_COUNTS))
+def test_seed7_histogram_counts_are_pinned(seed7_corpus, kind, time_unit):
+    hist = reuse_age_histogram(seed7_corpus, kind=kind, time_unit=time_unit)
+    assert hist.counts.tolist() == PINNED_HISTOGRAM_COUNTS[kind, time_unit]
