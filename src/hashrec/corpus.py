@@ -11,8 +11,11 @@ import json
 import logging
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +28,8 @@ Timestamp = int
 _TIMESTAMP_LIMIT = 2**63
 
 _NO_USES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
+
+_hashtags, _user_id, _time = attrgetter("hashtags"), attrgetter("user_id"), attrgetter("time")
 
 # Tokens are maximal runs of word characters excluding underscore.
 # Hashtag mentions inside the text, underscores included, are removed
@@ -119,8 +124,8 @@ class FollowGraph:
 class Corpus:
     """Tweets sorted by (time, tweet_id) plus the follow graph.
 
-    These two are its only fields; ``users`` and ``index`` are derived
-    from them on first read.
+    These two are its only fields; ``users``, ``index`` and
+    ``reuse_replay`` are derived from them on first read.
     """
 
     tweets: tuple[Tweet, ...]
@@ -140,6 +145,13 @@ class Corpus:
     def index(self) -> UsageIndex:
         """The tweets' usage index, built once; not a field, so == and hash ignore it."""
         return build_usage_index(self)
+
+    @cached_property
+    def reuse_replay(self) -> Mapping[str, np.ndarray]:
+        """``hashrec.reuse.replay`` of the corpus, run once; like ``index``, not a field."""
+        from hashrec.reuse import replay  # a module-level import would be circular
+
+        return replay(self)
 
 
 def _require(condition: bool, line_no: int, message: str) -> None:
@@ -341,33 +353,31 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
     """Index every (user, hashtag, time) usage event.
 
-    One pass over the tweets in (time, tweet_id) order gives the global
-    time column; a stable sort by user cuts it into per-user columns, so
-    each user's uses, and each hashtag's among them, keep that order.
+    The tagged tweets in (time, tweet_id) order give the global time
+    column without a loop per use: each tweet's time and first-seen user
+    code repeat once per hashtag, hashtags are interned through one sort
+    of the distinct ones, and a ``lexsort`` puts a tweet's hashtags in
+    order when some tweet has several.  A stable sort by user cuts the
+    column into per-user columns, so each user's uses, and each
+    hashtag's among them, keep that order.
     """
     if isinstance(tweets, Corpus):
         ordered: Sequence[Tweet] = tweets.tweets
     else:
         ordered = sorted(tweets, key=Tweet.sort_key)
-    user_codes: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    row_users: list[int] = []
-    row_times: list[Timestamp] = []
-    row_tags: list[int] = []
-    for tweet in ordered:
-        if tweet.hashtags:
-            code = user_codes.setdefault(tweet.user_id, len(user_codes))
-            for tag in sorted(tweet.hashtags):
-                row_users.append(code)
-                row_times.append(tweet.time)
-                row_tags.append(first_seen.setdefault(tag, len(first_seen)))
-    tags = tuple(sorted(first_seen))
-    # Tag ids were handed out in first-seen order; map them to sorted order.
-    interned = np.empty(len(tags), dtype=np.int32)
-    interned[list(map(first_seen.__getitem__, tags))] = np.arange(len(tags), dtype=np.int32)
-    times = np.array(row_times, dtype=np.int64)
-    ids = interned[np.array(row_tags, dtype=np.intp)]
-    users = np.array(row_users, dtype=np.intp)
+    tagged = [tweet for tweet in ordered if tweet.hashtags]
+    sizes = np.fromiter(map(len, map(_hashtags, tagged)), dtype=np.intp, count=len(tagged))
+    user_codes: dict[str, int] = defaultdict(count().__next__)  # codes in first-seen order
+    users = np.fromiter(map(user_codes.__getitem__, map(_user_id, tagged)), dtype=np.intp, count=len(tagged))
+    users = users.repeat(sizes)
+    times = np.fromiter(map(_time, tagged), dtype=np.int64, count=len(tagged)).repeat(sizes)
+    tags = tuple(sorted(set().union(*map(_hashtags, tagged))))
+    interned = dict(zip(tags, range(len(tags))))
+    uses = map(interned.__getitem__, chain.from_iterable(map(_hashtags, tagged)))
+    ids = np.fromiter(uses, dtype=np.int32, count=users.size)
+    del tagged, interned, uses
+    if ids.size > sizes.size:  # some tweet has several hashtags: sort them within each tweet
+        ids = ids[np.lexsort((ids, np.arange(sizes.size).repeat(sizes)))]
     order = users.argsort(kind="stable")
     user_times, user_ids = _frozen(times[order]), _frozen(ids[order])
     ends = np.cumsum(np.bincount(users, minlength=len(user_codes))).tolist()

@@ -5,8 +5,9 @@ picked up: the user's own earlier tweets, the earlier tweets of accounts
 they follow, both, anywhere else in the corpus, or nowhere (first ever
 use).  Reuse ages are then histogrammed on a log-spaced grid and fit
 with a straight line in log-log space to estimate the decay exponent.
-Both read the usage columns of ``Corpus.index`` per user with numpy
-(``_earlier_uses``); ``categorize_assignment`` is the per-assignment
+Both read one replay of the usage columns of ``Corpus.index`` with
+numpy (``replay``), run once per corpus and cached as
+``Corpus.reuse_replay``; ``categorize_assignment`` is the per-assignment
 definition the tests check them against.
 """
 
@@ -15,11 +16,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from hashrec.corpus import Corpus, FollowGraph, Timestamp, UsageIndex
+from hashrec.corpus import Corpus, FollowGraph, Timestamp, UsageIndex, _frozen
 
 BUCKETS_PER_DECADE = 20
 
@@ -68,12 +68,15 @@ def _category(own: bool, social: bool, anywhere: bool) -> ReuseCategory:
     return ReuseCategory.NETWORK if anywhere else ReuseCategory.EXTERNAL
 
 
-def _earlier_uses(corpus: Corpus, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The corpus's distinct times, every use's time rank and tag id, and
-    per kind the time rank of the latest strictly earlier use of the tag
-    (negative if none) in the user's column ("individual") or in the
-    followees' columns ("social").  Uses pack into int64 keys ``tag *
-    len(distinct) + rank``, so a sorted history groups by tag, then time,
+def replay(corpus: Corpus) -> dict[str, np.ndarray]:
+    """Pair every use with the latest strictly earlier use of its tag, in
+    the user's column ("individual") and in the followees' columns
+    ("social"), and keep only "codes", the count of uses per 3-bit
+    category code, and per kind the age in seconds of every reuse.
+    ``corpus.reuse_replay`` runs it once per corpus.
+
+    Uses pack into int64 keys ``tag * len(distinct) + rank`` (rank among
+    the distinct times), so a sorted history groups by tag, then time,
     and a "left" search for a use's key lands just past that earlier
     use; a use in the same second has the same key and does not count.
     """
@@ -86,18 +89,29 @@ def _earlier_uses(corpus: Corpus, kinds: Sequence[str]) -> tuple[np.ndarray, np.
         user: np.sort(ids.astype(np.int64) * stride + distinct.searchsorted(user_times))
         for user, (user_times, ids) in index.columns.items()
     }
-    latest: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    latest: dict[str, list[np.ndarray]] = {"individual": [], "social": []}
     for user, own in keys.items():
-        for kind in kinds:
-            sources = [own] if kind == "individual" else [keys[f] for f in corpus.graph.followees(user) if f in keys]
+        followed = [keys[f] for f in corpus.graph.followees(user) if f in keys]
+        for kind, sources in (("individual", [own]), ("social", followed)):
             # -1 is below every key: a use with no earlier one finds it.
             history = np.concatenate([[-1], *sources])
             if len(sources) > 1:
                 history.sort()
             latest[kind].append(history[history.searchsorted(own) - 1])
     uses = np.concatenate([_NO_KEYS, *keys.values()])
+    del keys
     tag, rank = np.divmod(uses, stride)
-    return distinct, rank, tag, [np.concatenate([_NO_KEYS, *latest[kind]]) - (uses - rank) for kind in kinds]
+    uses -= rank
+    # The time rank of each use's latest earlier use of the kind, negative if none.
+    own, social = (np.concatenate([_NO_KEYS, *latest[kind]]) - uses for kind in latest)
+    del latest, uses
+    _, first = np.unique(index.ids, return_index=True)
+    codes = 4 * (own >= 0) + 2 * (social >= 0) + (distinct.searchsorted(times[first])[tag] < rank)
+    ages = {
+        kind: _frozen((distinct[rank[found >= 0]] - distinct[found[found >= 0]]).astype(float))
+        for kind, found in (("individual", own), ("social", social))
+    }
+    return {"codes": _frozen(np.bincount(codes, minlength=8)), **ages}
 
 
 def category_distribution(corpus: Corpus) -> dict[ReuseCategory, tuple[int, float]]:
@@ -106,15 +120,12 @@ def category_distribution(corpus: Corpus) -> dict[ReuseCategory, tuple[int, floa
     Each assignment is judged only against strictly earlier events, so
     same-timestamp tweets cannot see each other.  It gets a 3-bit code
     (own earlier use, followee earlier use, first global use earlier);
-    a ``bincount`` counts the codes and ``_category`` maps all eight.
-    All five categories appear; shares are zero for an empty corpus.
+    the corpus's replay counts the codes and ``_category`` maps all
+    eight.  All five categories appear; shares are zero for an empty
+    corpus.
     """
-    index = corpus.index
-    distinct, rank, tag, (own, social) = _earlier_uses(corpus, ("individual", "social"))
-    _, first = np.unique(index.ids, return_index=True)
-    codes = 4 * (own >= 0) + 2 * (social >= 0) + (distinct.searchsorted(index.times[first])[tag] < rank)
     counts = {category: 0 for category in ReuseCategory}
-    for code, count in enumerate(np.bincount(codes, minlength=8).tolist()):
+    for code, count in enumerate(corpus.reuse_replay["codes"].tolist()):
         counts[_category(bool(code & 4), bool(code & 2), bool(code & 1))] += count
     total = sum(counts.values())
     return {
@@ -168,9 +179,7 @@ def log_bucket_edges(min_age: float, max_age: float) -> np.ndarray:
 
 def _reuse_ages(corpus: Corpus, kind: str) -> np.ndarray:
     """Seconds from each reuse of the kind back to the latest earlier use."""
-    distinct, rank, _, (previous,) = _earlier_uses(corpus, (kind,))
-    found = previous >= 0
-    return (distinct[rank[found]] - distinct[previous[found]]).astype(float)
+    return corpus.reuse_replay[kind]
 
 
 def reuse_age_histogram(corpus: Corpus, kind: str = "individual", time_unit: str = "seconds") -> AgeHistogram:

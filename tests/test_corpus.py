@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hashrec.activation import TagScores
 from hashrec.corpus import (
+    Corpus,
     CorpusError,
     FollowGraph,
     Tweet,
@@ -525,6 +526,75 @@ class TestUsageIndex:
         ):
             with pytest.raises(ValueError, match="now"):
                 call()
+
+
+def loop_index(tweets):
+    """The index as a Python loop over every use built it, kept as the oracle."""
+    ordered = tweets.tweets if isinstance(tweets, Corpus) else sorted(tweets, key=Tweet.sort_key)
+    user_codes, first_seen = {}, {}
+    row_users, row_times, row_tags = [], [], []
+    for tweet in ordered:
+        if tweet.hashtags:
+            code = user_codes.setdefault(tweet.user_id, len(user_codes))
+            for tag in sorted(tweet.hashtags):
+                row_users.append(code)
+                row_times.append(tweet.time)
+                row_tags.append(first_seen.setdefault(tag, len(first_seen)))
+    tags = tuple(sorted(first_seen))
+    interned = np.empty(len(tags), dtype=np.int32)
+    interned[list(map(first_seen.__getitem__, tags))] = np.arange(len(tags), dtype=np.int32)
+    times = np.array(row_times, dtype=np.int64)
+    ids = interned[np.array(row_tags, dtype=np.intp)]
+    users = np.array(row_users, dtype=np.intp)
+    order = users.argsort(kind="stable")
+    user_times, user_ids = times[order], ids[order]
+    ends = np.cumsum(np.bincount(users, minlength=len(user_codes))).tolist()
+    columns = {
+        user: (user_times[start:end], user_ids[start:end])
+        for user, start, end in zip(user_codes, [0] + ends, ends)
+    }
+    return tags, times, ids, columns
+
+
+def assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+
+
+# Twelve hashtags: a set of several of them rarely iterates in sorted order.
+MANY_TAGS = [f"h{i:02d}" for i in range(12)]
+
+
+class TestBuildUsageIndexAgainstLoop:
+    """Covers multi-hashtag tweets (the only inputs that need the
+    within-tweet sort), hashtag-less tweets and users, same-second
+    tweets, unsorted plain iterables and the empty corpus."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u2", "mute"]),
+                st.integers(0, 5),
+                st.frozensets(st.sampled_from(MANY_TAGS), max_size=6),
+            ).map(lambda row: row if row[0] != "mute" else (row[0], row[1], frozenset())),
+            max_size=25,
+        )
+    )
+    @example(rows=[])
+    @example(rows=[("u1", 3, frozenset(MANY_TAGS)), ("u0", 3, frozenset(MANY_TAGS[::-1])), ("mute", 1, frozenset())])
+    def test_columns_equal_the_per_use_loop(self, rows):
+        tweets = [make_tweet(f"t{i:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+        for source in (build_corpus(tweets), iter(tweets[::-1])):
+            tags, times, ids, columns = loop_index(build_corpus(tweets))
+            index = build_usage_index(source)
+            assert index.tags == tags
+            assert_same_array(index.times, times)
+            assert_same_array(index.ids, ids)
+            assert list(index.columns) == list(columns)
+            for user, (user_times, user_ids) in columns.items():
+                assert_same_array(index.columns[user][0], user_times)
+                assert_same_array(index.columns[user][1], user_ids)
 
 
 class TestRoundTrip:

@@ -1,14 +1,25 @@
 """Reuse categorization, age histograms, and power-law fitting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashrec.corpus import FollowGraph, Tweet, build_corpus, build_usage_index, parse_follows, parse_tweets
+from hashrec import reuse
+from hashrec.corpus import (
+    FollowGraph,
+    Tweet,
+    build_corpus,
+    build_usage_index,
+    chronological_split,
+    parse_follows,
+    parse_tweets,
+)
 from hashrec.reuse import (
+    TIME_UNIT_SECONDS,
     AgeHistogram,
     ReuseCategory,
     _reuse_ages,
@@ -462,3 +473,58 @@ def test_seed7_category_counts_are_pinned(seed7_corpus):
 def test_seed7_histogram_counts_are_pinned(seed7_corpus, kind, time_unit):
     hist = reuse_age_histogram(seed7_corpus, kind=kind, time_unit=time_unit)
     assert hist.counts.tolist() == PINNED_HISTOGRAM_COUNTS[kind, time_unit]
+
+
+ANALYSES = ("categories", *((kind, unit) for kind in ("individual", "social") for unit in TIME_UNIT_SECONDS))
+
+
+def analysis(corpus, call):
+    if call == "categories":
+        return category_distribution(corpus)
+    hist = reuse_age_histogram(corpus, *call)
+    return hist.edges.tolist(), hist.counts.tolist()
+
+
+def fresh(corpus):
+    return build_corpus(corpus.tweets, corpus.graph)
+
+
+class TestReuseReplay:
+    @pytest.fixture(scope="class")
+    def expected(self, seed7_corpus):
+        """Every analysis, each on its own freshly built corpus."""
+        return {call: analysis(fresh(seed7_corpus), call) for call in ANALYSES}
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.permutations(ANALYSES))
+    def test_replay_runs_once_per_corpus(self, seed7_corpus, expected, order):
+        corpus = fresh(seed7_corpus)
+        with mock.patch("hashrec.reuse.replay", wraps=reuse.replay) as spy:
+            results = {call: analysis(corpus, call) for call in order}
+        assert spy.call_count == 1
+        assert results == expected
+
+    def test_split_train_replays_its_own_uses(self, seed7_corpus):
+        corpus = fresh(seed7_corpus)
+        analysis(corpus, "categories")
+        train, _ = chronological_split(corpus)
+        with mock.patch("hashrec.reuse.replay", wraps=reuse.replay) as spy:
+            categories = category_distribution(train)
+        assert spy.call_count == 1
+        assert categories == category_distribution(fresh(train))
+        assert categories != category_distribution(corpus)
+
+    @settings(max_examples=50, deadline=None)
+    @given(corpus=corpora)
+    def test_replay_is_not_part_of_the_value(self, corpus):
+        def identity(c):
+            try:
+                hashed = hash(c)
+            except TypeError as exc:  # a dict-backed follow graph is unhashable
+                hashed = str(exc)
+            return c == fresh(c), repr(c), hashed
+
+        before = identity(corpus)
+        assert corpus.reuse_replay is corpus.reuse_replay
+        assert identity(corpus) == before
+        assert before[0]
