@@ -9,9 +9,12 @@ source tweet is emitted, so realized reuse ages follow the planted
 delay distribution directly and the log-log age histogram comes out
 with slope close to -(alpha).  Everything is driven by one seeded
 numpy generator, so equal configs give byte-identical output.  Its
-draws are taken in blocks (``_Stream``) that reproduce numpy's scalar
-stream exactly, so the output is the same as with one scalar call per
-draw; the writer escapes U+0085, U+2028 and U+2029 so that
+declared stream is: the follow graph first, one ``random(n_users)``
+row per user, then three iterators that each take a block of
+``_BLOCK`` draws whenever theirs runs out: uniforms, standard
+exponentials (the gaps of the baseline stream) and user ids.
+``_BLOCK`` is part of that declaration, so changing it changes the
+bytes.  The writer escapes U+0085, U+2028 and U+2029 so that
 ``str.splitlines()`` splits the JSONL only between tweets.
 """
 
@@ -22,12 +25,11 @@ import itertools
 import logging
 import math
 import numbers
+import sys
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import MISSING, asdict, dataclass
-from operator import length_hint
-from typing import Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,23 +47,28 @@ REUSE_DELAY_SPAN_FRACTION = 8.0
 
 _FRESH_DRAW_ATTEMPTS = 20
 
-# Uniforms _Stream draws at a time.  Each exponential draw gives back the
-# rest of a block; generate took about the same time with blocks of 8 to 128.
-_UNIFORM_BLOCK = 32
-_LOW32 = 0xFFFFFFFF
+# Draws each iterator takes from the generator at a time.
+_BLOCK = 1024
 
 _KIND_INDIVIDUAL = 0
 _KIND_SOCIAL = 1
 
 _INTEGER_FIELDS = ("n_users", "n_tweets", "vocab_size", "seed", "start_time")
+_REAL_FIELDS = ("follow_prob", "p_individual", "p_social", "alpha", "zipf_s", "mean_gap")
+
+
+def _not_a(kind: type, value: object) -> bool:
+    # bool is a number too, but true in a config is a mistake, not 1.
+    return not isinstance(value, kind) or isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """Generator knobs; invalid values raise listing every bad field.
 
-    Type violations (a non-integer count or seed, a non-finite real)
-    are reported before range violations, which need numbers to compare.
+    Type violations (a non-integer count or seed, a real field that is
+    not a finite number) are reported before range violations, which
+    need numbers to compare.
     """
 
     n_users: int
@@ -78,16 +85,14 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         violations = [
-            f"{name} must be an integer"
-            for name in _INTEGER_FIELDS
-            # bool is an Integral too, but true in a config is a mistake, not 1.
-            if not isinstance(getattr(self, name), numbers.Integral) or isinstance(getattr(self, name), bool)
+            f"{name} must be an integer" for name in _INTEGER_FIELDS if _not_a(numbers.Integral, getattr(self, name))
         ]
-        violations += [
-            f"{name} must be finite"
-            for name in ("p_individual", "p_social", "alpha", "zipf_s", "mean_gap")
-            if not math.isfinite(getattr(self, name))
-        ]
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if _not_a(numbers.Real, value):
+                violations.append(f"{name} must be a real number")
+            elif not abs(value) <= sys.float_info.max:  # also an int too large for a float
+                violations.append(f"{name} must be finite")
         if violations:
             raise ValueError("invalid generator config: " + "; ".join(violations))
         if self.n_users < 1:
@@ -171,69 +176,9 @@ class GenResult:
     stats: GenStats
 
 
-class _Stream:
-    """The scalar draws of one PCG64 ``Generator``, taken in blocks.
-
-    ``random()``, ``integers(n)`` and ``exponential(scale)`` return
-    exactly what the same calls on the generator return, in the same
-    order, at a fraction of the per-call cost.  Uniforms come from
-    ``rng.random(_UNIFORM_BLOCK)``, which yields the doubles of as many
-    scalar calls.  Before any other kind of draw, the words drawn ahead
-    are given back with ``advance``.  ``integers`` is numpy's 32-bit Lemire
-    draw (arXiv 1805.10941) on PCG64's ``next_uint32``, which returns
-    the low half of a fresh word and keeps the high half for the next
-    call; ``advance`` resets numpy's copy of that half, so the stream
-    keeps its own.  numpy's exponential ziggurat is not reachable from
-    Python, so ``exponential`` calls the generator itself.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._bitgen = rng.bit_generator
-        # The block being handed out; _uniforms gets it, not the stream, so no cycle.
-        self._ahead: list[Iterator[float]] = [iter(())]
-        state = self._bitgen.state
-        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
-        self.random: Callable[[], float] = self._uniforms(rng, self._ahead).__next__
-
-    @staticmethod
-    def _uniforms(rng: np.random.Generator, ahead: list[Iterator[float]]) -> Iterator[float]:
-        while True:
-            ahead[0] = iter(rng.random(_UNIFORM_BLOCK).tolist())
-            yield from ahead[0]
-
-    def _rewind(self) -> None:
-        """Give back the uniforms drawn ahead, so the generator's next word is the stream's."""
-        ahead = length_hint(self._ahead[0])
-        if ahead:
-            self._bitgen.advance(-ahead)
-            deque(self._ahead[0], maxlen=0)
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        self._rewind()
-        word = self._bitgen.random_raw()
-        self._half = word >> 32
-        return word & _LOW32
-
-    def integers(self, n: int) -> int:
-        """``rng.integers(n)`` for 1 <= n <= 2**32; numpy draws larger n on a 64-bit path."""
-        if not 1 <= n <= 2**32:
-            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        product = self._next32() * n
-        if product & _LOW32 < n:
-            threshold = (2**32 - n) % n
-            while product & _LOW32 < threshold:
-                product = self._next32() * n
-        return product >> 32
-
-    def exponential(self, scale: float) -> float:
-        self._rewind()
-        return self._rng.exponential(scale)
+def _draws(sample: Callable[[int], np.ndarray]) -> Callable[[], Any]:
+    """One value per call, taken from ``sample(_BLOCK)`` blocks as they run out."""
+    return itertools.chain.from_iterable(iter(lambda: sample(_BLOCK).tolist(), None)).__next__
 
 
 def _build_follow_graph(rng: np.random.Generator, config: GenConfig) -> tuple[dict[int, list[int]], list[list[int]]]:
@@ -270,7 +215,7 @@ def generate(config: GenConfig) -> GenResult:
     followees, followers = _build_follow_graph(rng, config)
     stats = GenStats(n_edges=sum(len(v) for v in followees.values()))
     # The simulation's tables die with its frame, before the writer runs.
-    tweets = _simulate(config, _Stream(rng), user_ids, followers, stats)
+    tweets = _simulate(config, rng, user_ids, followers, stats)
     logger.info(
         "generated %d tweets: fresh=%d individual=%d (%.3f) social=%d (%.3f) "
         "cancelled=%d collisions=%d unfired=%d",
@@ -303,10 +248,13 @@ def generate(config: GenConfig) -> GenResult:
 
 
 def _simulate(
-    config: GenConfig, stream: _Stream, user_ids: list[str], followers: list[list[int]], stats: GenStats
+    config: GenConfig, rng: np.random.Generator, user_ids: list[str], followers: list[list[int]], stats: GenStats
 ) -> list[Tweet]:
     """Run the event loop of ``generate``; fills ``stats`` and returns the tweets in emission order."""
-    uniform = stream.random
+    uniform = _draws(rng.random)
+    exponential = _draws(rng.standard_exponential)
+    # By keyword: a positional size would be read as integers' high.
+    draw_user = _draws(lambda size: rng.integers(config.n_users, size=size))
     # Tweets with one tag id share its hashtag set and token tuple, made on first use.
     labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
 
@@ -343,7 +291,7 @@ def _simulate(
     tweets: list[Tweet] = []
     last_time = float(config.start_time)
     next_base = (
-        float(config.start_time) + stream.exponential(base_gap)
+        float(config.start_time) + exponential() * base_gap
         if math.isfinite(base_gap)
         else math.inf
     )
@@ -387,12 +335,12 @@ def _simulate(
         else:
             if math.isfinite(next_base):
                 time_f = next_base
-                next_base += stream.exponential(base_gap)
+                next_base += exponential() * base_gap
             else:
                 # Entire stream is scheduled reuse; keep time moving
                 # when nothing is pending yet (at most the first tweet).
-                time_f = last_time + stream.exponential(config.mean_gap)
-            user = stream.integers(config.n_users)
+                time_f = last_time + exponential() * config.mean_gap
+            user = draw_user()
             emit(user, fresh_tag(user), time_f)
             stats.n_fresh += 1
 

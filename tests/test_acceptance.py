@@ -66,9 +66,9 @@ def synth_run():
 
 
 def test_accept_config_bytes_are_pinned(synth_run):
-    """Recorded from the scalar-draw generator; the random stream and the writer must not drift."""
+    """Recorded from the block-draw stream declared in ``hashrec.synth``; the stream and the writer must not drift."""
     assert synth_run["sha256"] == {
-        "tweets.jsonl": "552e8156b35493124ec43f021d71f26f91b276d4e632274a441651be1a086a5a",
+        "tweets.jsonl": "16e67a9c689175a39e1eb3b3d273850e8b3a0270547a5bcbea75f5bf46c140ca",
         "follows.tsv": "42628a0e00dee132b38ca244f723ddb944ed098b13b837447db579062bcfa55c",
     }
 

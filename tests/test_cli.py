@@ -108,6 +108,16 @@ class TestGenerate:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "tweets.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "field,value", [("follow_prob", "0.1"), ("p_individual", "0.4"), ("alpha", None), ("follow_prob", [0.1]), ("follow_prob", True)]
+    )
+    def test_non_numeric_real_config_is_data_error(self, tmp_path, capsys, field, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**CONFIG, field: value}), encoding="utf-8")
+        assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
+        assert f"{field} must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "tweets.jsonl").exists()
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**CONFIG, "bogus": 3}), encoding="utf-8")

@@ -435,25 +435,25 @@ SEED7_CONFIG = GenConfig(
     alpha=1.0, zipf_s=0.6, vocab_size=2000, seed=7,
 )
 PINNED_CATEGORY_COUNTS = {
-    "individual": 1656, "social": 1317, "individual_social": 1068, "network": 801, "external": 1158,
+    "individual": 1539, "social": 1383, "individual_social": 1135, "network": 829, "external": 1114,
 }
 PINNED_HISTOGRAM_COUNTS = {
     ("individual", "seconds"): [
-        122, 304, 243, 216, 189, 160, 157, 158, 128, 101, 114, 89, 84, 94, 62, 53, 56, 44, 46, 28,
-        46, 25, 19, 23, 20, 23, 19, 9, 18, 12, 7, 12, 13, 12, 4, 5, 5, 4,
+        126, 284, 235, 232, 212, 177, 157, 141, 117, 105, 96, 85, 84, 74, 70, 51, 49, 56, 44, 30,
+        43, 33, 17, 22, 15, 14, 16, 11, 16, 16, 6, 9, 12, 9, 2, 3, 2, 3,
     ],
     ("social", "seconds"): [
-        1, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 5, 1, 3, 4, 3, 4, 1, 7, 3, 6, 6, 10, 8, 5, 14, 4, 11, 9,
-        10, 10, 12, 21, 10, 61, 126, 129, 103, 73, 83, 81, 76, 86, 82, 73, 76, 75, 76, 59, 67, 59, 61,
-        48, 56, 52, 33, 38, 43, 26, 33, 27, 26, 24, 25, 18, 19, 20, 14, 13, 18, 13, 12, 9, 12, 8, 10,
-        12, 16, 14, 12, 9, 6, 11, 17, 14, 10, 23, 11, 4, 1, 2,
+        1, 0, 0, 0, 0, 0, 0, 3, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 5, 0, 5, 2, 2, 3, 4, 4, 3, 4,
+        8, 7, 5, 10, 5, 5, 10, 9, 13, 6, 11, 25, 15, 72, 128, 137, 119, 96, 86, 83, 84, 110, 89, 82,
+        60, 83, 66, 52, 69, 71, 54, 67, 45, 53, 42, 51, 40, 43, 39, 35, 31, 19, 16, 19, 28, 24, 14,
+        15, 7, 5, 13, 2, 7, 13, 17, 16, 20, 12, 3, 16, 13, 11, 5, 13, 15, 7, 14, 4, 8, 1,
     ],
     ("individual", "hours"): [
-        2333, 50, 42, 25, 45, 26, 19, 25, 17, 24, 19, 11, 14, 12, 9, 13, 14, 9, 3, 6, 6, 2,
+        2300, 56, 43, 32, 41, 31, 18, 21, 15, 14, 14, 13, 17, 13, 7, 10, 12, 7, 3, 2, 3, 2,
     ],
     ("social", "hours"): [
-        1573, 60, 47, 59, 44, 35, 44, 35, 30, 31, 28, 25, 26, 23, 18, 17, 20, 17, 12, 17, 14, 10, 9,
-        12, 8, 11, 14, 15, 12, 13, 7, 8, 13, 15, 14, 9, 24, 10, 4, 2,
+        1666, 58, 60, 49, 51, 40, 57, 35, 44, 44, 32, 27, 18, 17, 18, 33, 18, 19, 11, 6, 6, 12, 2,
+        8, 14, 17, 20, 15, 11, 5, 20, 8, 11, 5, 14, 13, 10, 12, 3, 9,
     ],
 }
 

@@ -2,14 +2,12 @@
 
 import gc
 import hashlib
-import weakref
 
-import numpy as np
 import pytest
 
 from hashrec.corpus import build_corpus, parse_follows, parse_tweets
 from hashrec.reuse import ReuseCategory, category_distribution
-from hashrec.synth import _UNIFORM_BLOCK, GenConfig, _Stream, generate
+from hashrec.synth import GenConfig, generate
 
 
 def small_config(**overrides):
@@ -35,6 +33,9 @@ def parse_result(result):
     )
 
 
+REAL_FIELDS = ["follow_prob", "p_individual", "p_social", "alpha", "zipf_s", "mean_gap"]
+
+
 class TestGenConfigValidation:
     @pytest.mark.parametrize(
         "overrides,field",
@@ -58,11 +59,24 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError, match=field.replace("+", "\\+")):
             small_config(**overrides)
 
-    @pytest.mark.parametrize("field", ["p_individual", "p_social", "alpha", "zipf_s", "mean_gap"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_non_finite_values_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    @pytest.mark.parametrize("value", ["0.1", None, [0.1], True, False])
+    def test_non_numeric_reals_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            small_config(**{field: value})
+
+    def test_every_non_numeric_real_is_listed(self):
+        with pytest.raises(ValueError) as err:
+            small_config(**{field: "1" for field in REAL_FIELDS})
+        assert all(f"{field} must be a real number" in str(err.value) for field in REAL_FIELDS)
 
     @pytest.mark.parametrize("field", ["n_users", "n_tweets", "vocab_size", "seed", "start_time"])
     @pytest.mark.parametrize("value", [float("nan"), 1.5, True])
@@ -103,6 +117,16 @@ class TestDeterminism:
         b = generate(small_config(seed=2))
         assert a.tweets_jsonl != b.tweets_jsonl
 
+    def test_leaves_no_cyclic_garbage(self):
+        """Everything generate makes is freed by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            generate(small_config())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_rng_documented_in_follows_header(self):
         result = generate(small_config())
         header = result.follows_tsv.splitlines()[1]
@@ -120,90 +144,58 @@ PINNED_SMALL = dict(
 
 
 class TestPinnedStream:
-    """Output bytes recorded from the scalar-draw generator; a drift in the random stream moves them."""
+    """Output bytes recorded from the block-draw stream declared in ``hashrec.synth``; a drift in it moves them."""
 
     @pytest.mark.parametrize(
         "overrides,tweets_sha,follows_sha",
         [
-            # One user: integers(1) draws nothing.
-            ({"n_users": 1, "p_social": 0.0},
-             "afc4fddc90186121c952c218d46c2c0392a94fb83b95aad4e74c43d9f5536dae",
-             "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9"),
+            # One user: every user id drawn is 0.
+            pytest.param(
+                {"n_users": 1, "p_social": 0.0},
+                "364b8fc8237d28f381e9dd861ef86a9cd4584ef41d0752e2eaacf289e297a4c6",
+                "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
+                id="one-user",
+            ),
             # p_individual + p_social = 1: no baseline stream, infinite base gap.
-            ({"p_individual": 0.6, "p_social": 0.4},
-             "3e5f9ee4f4cfe905c1d7e0e48716f2e9aba764015b95d8bf759187445debbacc",
-             "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df"),
+            pytest.param(
+                {"p_individual": 0.6, "p_social": 0.4},
+                "24b3deefb09b196ef32840546dcb540792c39a667abc9ab35a60729d090e95ef",
+                "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
+                id="no-baseline",
+            ),
             # No edges, so no social draws.
-            ({"follow_prob": 0.0, "p_social": 0.0},
-             "399b51d0791034965402731737ea5101dece5d35df606b7a3afec4dc900b5d3d",
-             "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9"),
-            ({"follow_prob": 1.0},
-             "39e4b9cd245ccf397bba06557b6eed8554b225fe235b3cc85d6b2962cd561de1",
-             "892a35acc48c1d9f1117cc5940c84f8bc84cc65cc5f34f177be5cce0f5fa7769"),
+            pytest.param(
+                {"follow_prob": 0.0, "p_social": 0.0},
+                "82e0cac9476e78a8b502ff7edeaaac512ed22a55d8cec24cee1830f947393baf",
+                "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
+                id="no-edges",
+            ),
+            pytest.param(
+                {"follow_prob": 1.0},
+                "567a8dab59b241e03def7f639037347b0bf87614ab6bd4d838286b37b4302b45",
+                "892a35acc48c1d9f1117cc5940c84f8bc84cc65cc5f34f177be5cce0f5fa7769",
+                id="complete-graph",
+            ),
             # A graph too sparse for p_social: every follower adopts.
-            ({"follow_prob": 0.01, "p_social": 0.5},
-             "6aabefa6e4af8dafc0fe4e411c4b0df005fc63de7a2fe557c75303092b7bc409",
-             "b0955bfa6d85ca8b049223809e0352caee08f47bc13b66989975426a95af9038"),
+            pytest.param(
+                {"follow_prob": 0.01, "p_social": 0.5},
+                "7d2760524377d374d9b90075e08d3964567f1840d3a72cb9ee942c686e6e79c6",
+                "b0955bfa6d85ca8b049223809e0352caee08f47bc13b66989975426a95af9038",
+                id="sparse-graph",
+            ),
             # One hashtag: every fresh draw collides.
-            ({"vocab_size": 1},
-             "5132c92ef9acab8f04ce8c1a3989ffe66e6c662de9378b5ebcec86cf387230e3",
-             "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df"),
+            pytest.param(
+                {"vocab_size": 1},
+                "12817bc36d42260fe0aedc1bdd616b588e75dc8ba1f3f8ae91d0acdf0fdea3a0",
+                "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
+                id="one-hashtag",
+            ),
         ],
     )
     def test_degenerate_configs_keep_their_bytes(self, overrides, tweets_sha, follows_sha):
         result = generate(GenConfig(**{**PINNED_SMALL, **overrides}))
         assert sha256(result.tweets_jsonl) == tweets_sha
         assert sha256(result.follows_tsv) == follows_sha
-
-
-INTEGER_BOUNDS = (1, 2, 3, 280, 2**31 + 1, 2**32)
-
-
-class TestStream:
-    """``_Stream`` against a second generator making the scalar calls."""
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_scalar_calls_in_any_interleaving(self, seed):
-        plan = np.random.default_rng([seed, 1])
-        expected = np.random.default_rng(seed)
-        drawn = np.random.default_rng(seed)
-        if seed % 3 == 0:
-            # A half-word buffered before the stream starts is used first.
-            assert drawn.integers(7) == expected.integers(7)
-        stream = _Stream(drawn)
-        for _ in range(120):
-            kind = plan.integers(3)
-            # Runs longer than a block run out of it mid-run; runs of integers use the buffered half-word.
-            run = int(plan.integers(1, 3 * _UNIFORM_BLOCK)) if kind == 0 else int(plan.integers(1, 5))
-            for _ in range(run):
-                if kind == 0:
-                    assert stream.random() == expected.random()
-                elif kind == 1:
-                    n = INTEGER_BOUNDS[plan.integers(len(INTEGER_BOUNDS))]
-                    value = stream.integers(n)
-                    assert type(value) is int and value == expected.integers(n)
-                else:
-                    scale = float(plan.choice([1e-3, 1.0, 60.0, 1e6]))
-                    assert stream.exponential(scale) == expected.exponential(scale)
-        assert stream.random() == expected.random()
-
-    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
-    def test_integers_outside_the_32_bit_draw_rejected(self, n):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            _Stream(np.random.default_rng(0)).integers(n)
-
-    def test_freed_by_reference_counting_alone(self):
-        """No reference cycle: the stream dies with its last reference."""
-        stream = _Stream(np.random.default_rng(0))
-        stream.random()
-        stream.integers(3)
-        ref = weakref.ref(stream)
-        gc.disable()
-        try:
-            del stream
-            assert ref() is None
-        finally:
-            gc.enable()
 
 
 class TestDegenerateConfigs:
