@@ -181,6 +181,14 @@ def _draws(sample: Callable[[int], np.ndarray]) -> Callable[[], Any]:
     return itertools.chain.from_iterable(iter(lambda: sample(_BLOCK).tolist(), None)).__next__
 
 
+def _stream(
+    rng: np.random.Generator, n_users: int
+) -> tuple[Callable[[], float], Callable[[], float], Callable[[], int]]:
+    """The simulation's draws, after the graph: uniforms, standard exponentials and user ids."""
+    # By keyword: a positional size would be read as integers' high.
+    return _draws(rng.random), _draws(rng.standard_exponential), _draws(lambda size: rng.integers(n_users, size=size))
+
+
 def _build_follow_graph(rng: np.random.Generator, config: GenConfig) -> tuple[dict[int, list[int]], list[list[int]]]:
     """Random directed graph; returns (followees by user, followers by user)."""
     followees: dict[int, list[int]] = {}
@@ -251,10 +259,7 @@ def _simulate(
     config: GenConfig, rng: np.random.Generator, user_ids: list[str], followers: list[list[int]], stats: GenStats
 ) -> list[Tweet]:
     """Run the event loop of ``generate``; fills ``stats`` and returns the tweets in emission order."""
-    uniform = _draws(rng.random)
-    exponential = _draws(rng.standard_exponential)
-    # By keyword: a positional size would be read as integers' high.
-    draw_user = _draws(lambda size: rng.integers(config.n_users, size=size))
+    uniform, exponential, draw_user = _stream(rng, config.n_users)
     # Tweets with one tag id share its hashtag set and token tuple, made on first use.
     labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
 

@@ -3,11 +3,12 @@
 import gc
 import hashlib
 
+import numpy as np
 import pytest
 
 from hashrec.corpus import build_corpus, parse_follows, parse_tweets
 from hashrec.reuse import ReuseCategory, category_distribution
-from hashrec.synth import GenConfig, generate
+from hashrec.synth import _BLOCK, GenConfig, _stream, generate
 
 
 def small_config(**overrides):
@@ -196,6 +197,53 @@ class TestPinnedStream:
         result = generate(GenConfig(**{**PINNED_SMALL, **overrides}))
         assert sha256(result.tweets_jsonl) == tweets_sha
         assert sha256(result.follows_tsv) == follows_sha
+
+
+INTEGER_BOUNDS = (1, 2, 3, 280, 2**31 + 1, 2**32)
+
+
+class TestStream:
+    """``_stream`` against a second generator making numpy's block calls in the order the draws run out."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_scalar_calls_in_any_interleaving(self, seed):
+        n_users = INTEGER_BOUNDS[seed % len(INTEGER_BOUNDS)]
+        plan = np.random.default_rng([seed, 1])
+        expected = np.random.default_rng(seed)
+        drawn = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            # The stream goes on from whatever the generator drew before, a buffered half-word included.
+            assert drawn.integers(7) == expected.integers(7)
+        blocks = (
+            lambda: expected.random(_BLOCK).tolist(),
+            lambda: expected.standard_exponential(_BLOCK).tolist(),
+            lambda: expected.integers(n_users, size=_BLOCK).tolist(),
+        )
+        pending = ([], [], [])
+        draws = _stream(drawn, n_users)
+        for _ in range(60):
+            kind = int(plan.integers(3))
+            # Runs longer than a block run out of it mid-run.
+            run = int(plan.integers(1, 2 * _BLOCK))
+            values = [draws[kind]() for _ in range(run)]
+            while len(pending[kind]) < run:
+                pending[kind].extend(blocks[kind]())
+            assert values == pending[kind][:run]
+            assert all(type(value) is (int if kind == 2 else float) for value in values)
+            del pending[kind][:run]
+        assert draws[0]() == (pending[0] or blocks[0]())[0]
+
+    def test_freed_by_reference_counting_alone(self):
+        """No reference cycle: the stream and its generator die with the last draw."""
+        gc.collect()
+        gc.disable()
+        try:
+            draws = _stream(np.random.default_rng(0), 3)
+            assert [draw() for draw in draws]
+            del draws
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDegenerateConfigs:
