@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,19 +104,21 @@ def _group(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ActivationParams:
-    """Decay exponents, mixing weight, and the minimum age clamp.
+    """Decay exponents and mixing weight.
 
-    Ages are clamped below at ``min_age`` seconds so a use in the same
-    second as the query never produces a zero or negative power base.
+    Ages are clamped below at ``min_age``, 1 s, the resolution of tweet
+    timestamps: a use less than a second before a fractional query time
+    counts as one second old.  The clamp is a constant of the class, not
+    a field.
     """
 
     d_individual: float = 0.5
     d_social: float = 0.5
     beta: float = 0.5
-    min_age: float = 1.0
+    min_age: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("d_individual", "d_social", "min_age"):
+        for name in ("d_individual", "d_social"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
@@ -162,7 +164,6 @@ def _activations(
     users: Iterable[str],
     now: Timestamp,
     d: float,
-    min_age: float,
 ) -> TagScores:
     """Base-level activation of every hashtag the users used before now,
     each hashtag's terms summed in the order of ``UsageIndex.uses_before``."""
@@ -172,7 +173,7 @@ def _activations(
     present, inverse = _group(ids)
     # float(now) - t is float(now - t) for times below 2**53, and it
     # cannot overflow int64 the way now - t can.
-    ages = np.maximum(float(now) - times, min_age)
+    ages = np.maximum(float(now) - times, ActivationParams.min_age)
     return TagScores(index.tags, present, _log_sums(ages, inverse, d))
 
 
@@ -183,7 +184,7 @@ def individual_activations(
     params: ActivationParams = ActivationParams(),
 ) -> TagScores:
     """Activation of every hashtag the user used strictly before now."""
-    return _activations(index, (user_id,), now, params.d_individual, params.min_age)
+    return _activations(index, (user_id,), now, params.d_individual)
 
 
 def social_activations(
@@ -199,7 +200,7 @@ def social_activations(
     a tag several followees keep using accumulates more activation than
     any single history would give it.
     """
-    return _activations(index, sorted(graph.followees(user_id)), now, params.d_social, params.min_age)
+    return _activations(index, sorted(graph.followees(user_id)), now, params.d_social)
 
 
 def normalize_softmax(scores: Mapping[str, float]) -> dict[str, float]:

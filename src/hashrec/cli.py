@@ -19,6 +19,7 @@ import tempfile
 from hashrec.activation import ActivationParams, recommend_bll_is
 from hashrec.content import profiles_before, recommend_bll_isc
 from hashrec.corpus import (
+    _TIMESTAMP_LIMIT,
     Corpus,
     CorpusError,
     build_corpus,
@@ -216,7 +217,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
-    if not 0 <= args.now < 2**63:
+    if not 0 <= args.now < _TIMESTAMP_LIMIT:
         raise UsageError("--now must lie in [0, 2**63), as tweet timestamps do")
     params = _activation_params(args)
     corpus = _load_corpus(args.tweets, args.follows)

@@ -177,11 +177,6 @@ def log_bucket_edges(min_age: float, max_age: float) -> np.ndarray:
     return np.power(10.0, exponents)
 
 
-def _reuse_ages(corpus: Corpus, kind: str) -> np.ndarray:
-    """Seconds from each reuse of the kind back to the latest earlier use."""
-    return corpus.reuse_replay[kind]
-
-
 def reuse_age_histogram(corpus: Corpus, kind: str = "individual", time_unit: str = "seconds") -> AgeHistogram:
     """Histogram reuse ages on a log-spaced grid.
 
@@ -203,7 +198,7 @@ def reuse_age_histogram(corpus: Corpus, kind: str = "individual", time_unit: str
             f"time unit {time_unit!r} is coarser than the corpus span "
             f"({corpus.span_seconds()} s)"
         )
-    ages = np.maximum(_reuse_ages(corpus, kind) / unit, 1.0)
+    ages = np.maximum(corpus.reuse_replay[kind] / unit, 1.0)
     lo, hi = (float(ages.min()), float(ages.max())) if ages.size else (1.0, 10.0 ** (1.0 / BUCKETS_PER_DECADE))
     edges = log_bucket_edges(lo, hi)
     counts, _ = np.histogram(ages, bins=edges)

@@ -28,20 +28,30 @@ import numbers
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from hashrec.corpus import FollowGraph, Tweet, follows_to_tsv, tweets_to_jsonl
+from hashrec.corpus import _TIMESTAMP_LIMIT, FollowGraph, Tweet, follows_to_tsv, tweets_to_jsonl
 
 logger = logging.getLogger(__name__)
 
-# Reuse delays live on [REUSE_DELAY_MIN_GAPS * mean_gap, span / REUSE_DELAY_SPAN_FRACTION].
-# The lower edge sits well above the mean inter-tweet gap so bucket
-# counts near the left edge are not distorted by arrival granularity;
-# the upper edge stays a fraction of the corpus span so late reuses
-# are rarely cut off by the end of the stream.
+# The clock: the first tweet comes at or after START_TIME, and tweets
+# arrive MEAN_GAP seconds apart on average.  BLL rankings do not depend
+# on either, so they are fixed rather than configured.
+START_TIME = 1_500_000_000
+MEAN_GAP = 60.0
+
+# n_tweets below this keeps START_TIME + n_tweets * MEAN_GAP below 2**63.
+_MAX_TWEETS = (_TIMESTAMP_LIMIT - START_TIME) / MEAN_GAP
+
+# Reuse delays live on [600 s, span / 8], span being n_tweets * MEAN_GAP,
+# with the upper edge at least 900 s.  The lower edge, ten mean gaps,
+# sits well above the mean inter-tweet gap so bucket counts near the
+# left edge are not distorted by arrival granularity; the upper edge
+# stays a fraction of the corpus span so late reuses are rarely cut
+# off by the end of the stream.
 REUSE_DELAY_MIN_GAPS = 10.0
 REUSE_DELAY_SPAN_FRACTION = 8.0
 
@@ -53,8 +63,8 @@ _BLOCK = 1024
 _KIND_INDIVIDUAL = 0
 _KIND_SOCIAL = 1
 
-_INTEGER_FIELDS = ("n_users", "n_tweets", "vocab_size", "seed", "start_time")
-_REAL_FIELDS = ("follow_prob", "p_individual", "p_social", "alpha", "zipf_s", "mean_gap")
+_INTEGER_FIELDS = ("n_users", "n_tweets", "vocab_size", "seed")
+_REAL_FIELDS = ("follow_prob", "p_individual", "p_social", "alpha", "zipf_s")
 
 
 def _not_a(kind: type, value: object) -> bool:
@@ -80,8 +90,6 @@ class GenConfig:
     zipf_s: float
     vocab_size: int
     seed: int
-    start_time: int = 1_500_000_000
-    mean_gap: float = 60.0
 
     def __post_init__(self) -> None:
         violations = [
@@ -99,6 +107,8 @@ class GenConfig:
             violations.append("n_users must be >= 1")
         if self.n_tweets < 1:
             violations.append("n_tweets must be >= 1")
+        elif self.n_tweets >= _MAX_TWEETS:  # exact: an int compares with a float without conversion
+            violations.append(f"n_tweets must be below {_MAX_TWEETS:.6g}, so tweet times stay below 2**63")
         if not 0.0 <= self.follow_prob <= 1.0:
             violations.append("follow_prob must lie in [0, 1]")
         if self.p_individual < 0.0:
@@ -117,10 +127,6 @@ class GenConfig:
             violations.append("vocab_size must be >= 1")
         if self.seed < 0:
             violations.append("seed must be >= 0")
-        if self.start_time < 0:
-            violations.append("start_time must be >= 0")
-        if self.mean_gap <= 0.0:
-            violations.append("mean_gap must be > 0")
         if violations:
             raise ValueError("invalid generator config: " + "; ".join(violations))
 
@@ -130,11 +136,7 @@ class GenConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-        missing = sorted(
-            name
-            for name, fld in cls.__dataclass_fields__.items()
-            if fld.default is MISSING and name not in data
-        )
+        missing = sorted(known - set(data))
         if missing:
             raise ValueError(f"missing config field(s): {', '.join(missing)}")
         return cls(**data)
@@ -214,7 +216,7 @@ def generate(config: GenConfig) -> GenResult:
     follower count, so social events arrive at about p_social of the
     stream).  Between scheduled events a baseline stream emits fresh
     Zipf-drawn hashtags at a rate chosen so scheduled plus fresh tweets
-    together keep the configured mean gap.  Adoptions of a tag the
+    together keep the mean gap MEAN_GAP.  Adoptions of a tag the
     follower already uses are cancelled and counted, keeping the
     individual reuse-age histogram on the planted delay law.
     """
@@ -280,26 +282,22 @@ def _simulate(
     zipf_cdf = array("d", np.cumsum(weights / weights.sum()).tobytes())
 
     # Delays follow the inverse CDF of a density proportional to a**-(1+alpha) on [lo, hi].
-    span = config.n_tweets * config.mean_gap
-    delay_lo = REUSE_DELAY_MIN_GAPS * config.mean_gap
+    span = config.n_tweets * MEAN_GAP
+    delay_lo = REUSE_DELAY_MIN_GAPS * MEAN_GAP
     delay_hi = max(span / REUSE_DELAY_SPAN_FRACTION, 1.5 * delay_lo)
     lo_a = delay_lo**-config.alpha
     width_a = lo_a - delay_hi**-config.alpha
     delay_power = -1.0 / config.alpha
 
     base_keep = 1.0 - config.p_individual - config.p_social
-    base_gap = config.mean_gap / base_keep if base_keep > 0 else math.inf
+    base_gap = MEAN_GAP / base_keep if base_keep > 0 else math.inf
 
     own_tags: list[set[int]] = [set() for _ in range(config.n_users)]
     heap: list[tuple[float, int, int, int, int]] = []
     seq = itertools.count()
     tweets: list[Tweet] = []
-    last_time = float(config.start_time)
-    next_base = (
-        float(config.start_time) + exponential() * base_gap
-        if math.isfinite(base_gap)
-        else math.inf
-    )
+    last_time = float(START_TIME)
+    next_base = START_TIME + exponential() * base_gap if math.isfinite(base_gap) else math.inf
 
     def fresh_tag(user: int) -> int:
         history = own_tags[user]
@@ -344,7 +342,7 @@ def _simulate(
             else:
                 # Entire stream is scheduled reuse; keep time moving
                 # when nothing is pending yet (at most the first tweet).
-                time_f = last_time + exponential() * config.mean_gap
+                time_f = last_time + exponential() * MEAN_GAP
             user = draw_user()
             emit(user, fresh_tag(user), time_f)
             stats.n_fresh += 1

@@ -128,9 +128,11 @@ class TestIndividualActivations:
         assert [tag for tag, _ in ranked] == ["b", "c", "a"]
 
     def test_min_age_clamp(self):
+        # Integer times are at least 1 s before an integer now; a fractional
+        # now puts the use at 9 a quarter second back, clamped to 1 s.
         index = index_of(("u1", 8, ["a"]), ("u1", 9, ["a"]))
-        acts = individual_activations(index, "u1", 10, ActivationParams(min_age=5.0))
-        np.testing.assert_allclose(acts["a"], math.log(2 * 5 ** -0.5), rtol=1e-12)
+        acts = individual_activations(index, "u1", 9.25)
+        np.testing.assert_allclose(acts["a"], math.log(1.25**-0.5 + 1.0), rtol=1e-12)
 
 
 class TestSocialActivations:
@@ -270,6 +272,11 @@ class TestActivationParams:
             1.0,
         )
 
+    def test_min_age_is_a_constant_not_a_field(self):
+        assert ActivationParams().min_age == ActivationParams.min_age == 1.0
+        with pytest.raises(TypeError, match="min_age"):
+            ActivationParams(min_age=5.0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -277,14 +284,13 @@ class TestActivationParams:
             {"d_social": -1.0},
             {"beta": -0.1},
             {"beta": 1.1},
-            {"min_age": 0.0},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ActivationParams(**kwargs)
 
-    @pytest.mark.parametrize("field", ["d_individual", "d_social", "min_age"])
+    @pytest.mark.parametrize("field", ["d_individual", "d_social"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -395,7 +401,6 @@ class TestArrayPathAgainstScalarOracle:
             d_individual=float(rng.uniform(0.1, 2.0)),
             d_social=float(rng.uniform(0.1, 2.0)),
             beta=float(rng.uniform()),
-            min_age=float(rng.choice([1.0, 3.0, 7.5])),
         )
 
     def test_activations_and_rankings_match_the_scalar_oracle(self):
@@ -409,6 +414,9 @@ class TestArrayPathAgainstScalarOracle:
                 now = int(rng.choice([t.time for t in tweets]))
             else:
                 now = int(rng.integers(0, 45))
+            # A fractional now leaves uses under 1 s old, so the clamp binds.
+            if rng.random() < 0.5:
+                now += float(rng.choice([0.25, 0.5, 0.75]))
             for user in self.USERS:
                 assert_same_scores(
                     individual_activations(index, user, now, params),

@@ -118,6 +118,25 @@ class TestGenerate:
         assert f"{field} must be a real number" in capsys.readouterr().err
         assert not (tmp_path / "tweets.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("start_time", 9_300_000_000_000_000_000),
+            ("start_time", 10**400),
+            ("mean_gap", 1e307),
+            ("n_tweets", 10**400),
+        ],
+        ids=["start_time-beyond-int64", "start_time-401-digits", "mean_gap-1e307", "n_tweets-401-digits"],
+    )
+    def test_clock_beyond_timestamp_range_is_data_error(self, tmp_path, capsys, field, value):
+        # The clock is fixed, so its former fields are unknown keys, and
+        # n_tweets is bounded so that tweet times stay below 2**63.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**CONFIG, field: value}), encoding="utf-8")
+        assert run("generate", "--config", str(config_path), "--out", str(tmp_path)) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "tweets.jsonl").exists()
+
     def test_unknown_config_key_is_data_error(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**CONFIG, "bogus": 3}), encoding="utf-8")

@@ -28,7 +28,7 @@ from hashrec.corpus import FollowGraph, Tweet, build_corpus
 from hashrec.reuse import category_distribution, reuse_age_histogram
 
 K = 5
-PARAMS = ActivationParams(d_individual=0.6, d_social=0.4, beta=0.3, min_age=2.0)
+PARAMS = ActivationParams(d_individual=0.6, d_social=0.4, beta=0.3)
 USERS = ["u0", "u1", "u2", "u3"]
 TAGS = ["a", "b", "c", "é", "日本"]
 WORDS = ["red", "blue", "green"]

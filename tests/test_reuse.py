@@ -22,7 +22,6 @@ from hashrec.reuse import (
     TIME_UNIT_SECONDS,
     AgeHistogram,
     ReuseCategory,
-    _reuse_ages,
     categorize_assignment,
     category_distribution,
     fit_power_law,
@@ -334,7 +333,7 @@ class TestReuseAgeHistogram:
     @given(corpus=corpora)
     def test_column_ages_match_recount_on_random_corpora(self, corpus):
         for kind in ("individual", "social"):
-            assert sorted(_reuse_ages(corpus, kind).tolist()) == sorted(recount_ages(corpus, kind))
+            assert sorted(corpus.reuse_replay[kind].tolist()) == sorted(recount_ages(corpus, kind))
 
 
 class TestCorpusIndex:

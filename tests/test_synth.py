@@ -2,13 +2,15 @@
 
 import gc
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hashrec.corpus import build_corpus, parse_follows, parse_tweets
 from hashrec.reuse import ReuseCategory, category_distribution
-from hashrec.synth import _BLOCK, GenConfig, _stream, generate
+from hashrec.synth import _BLOCK, _MAX_TWEETS, MEAN_GAP, START_TIME, GenConfig, _stream, generate
 
 
 def small_config(**overrides):
@@ -34,7 +36,7 @@ def parse_result(result):
     )
 
 
-REAL_FIELDS = ["follow_prob", "p_individual", "p_social", "alpha", "zipf_s", "mean_gap"]
+REAL_FIELDS = ["follow_prob", "p_individual", "p_social", "alpha", "zipf_s"]
 
 
 class TestGenConfigValidation:
@@ -51,8 +53,8 @@ class TestGenConfigValidation:
             ({"zipf_s": -1.0}, "zipf_s"),
             ({"vocab_size": 0}, "vocab_size"),
             ({"seed": -1}, "seed"),
-            ({"start_time": -5}, "start_time"),
-            ({"mean_gap": 0.0}, "mean_gap"),
+            ({"n_tweets": math.ceil(_MAX_TWEETS)}, "n_tweets"),
+            ({"n_tweets": 10**400}, "n_tweets"),
             ({"n_users": 1, "p_social": 0.2}, "n_users must be >= 2"),
         ],
     )
@@ -79,7 +81,7 @@ class TestGenConfigValidation:
             small_config(**{field: "1" for field in REAL_FIELDS})
         assert all(f"{field} must be a real number" in str(err.value) for field in REAL_FIELDS)
 
-    @pytest.mark.parametrize("field", ["n_users", "n_tweets", "vocab_size", "seed", "start_time"])
+    @pytest.mark.parametrize("field", ["n_users", "n_tweets", "vocab_size", "seed"])
     @pytest.mark.parametrize("value", [float("nan"), 1.5, True])
     def test_non_integer_values_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -87,9 +89,15 @@ class TestGenConfigValidation:
 
     def test_multiple_violations_listed_together(self):
         with pytest.raises(ValueError) as err:
-            small_config(n_users=0, alpha=-1.0, mean_gap=-2.0)
+            small_config(n_users=0, alpha=-1.0, zipf_s=-2.0)
         message = str(err.value)
-        assert "n_users" in message and "alpha" in message and "mean_gap" in message
+        assert "n_users" in message and "alpha" in message and "zipf_s" in message
+
+    def test_largest_accepted_n_tweets_keeps_the_clock_below_2_63(self):
+        # One more is rejected in test_each_violation_is_named.
+        largest = math.ceil(_MAX_TWEETS) - 1
+        assert small_config(n_tweets=largest).n_tweets == largest
+        assert START_TIME + largest * Fraction(MEAN_GAP) < 2**63
 
     def test_from_dict_rejects_unknown_and_missing(self):
         good = dict(
@@ -97,8 +105,10 @@ class TestGenConfigValidation:
             p_social=0.1, alpha=1.0, zipf_s=0.5, vocab_size=10, seed=1,
         )
         assert GenConfig.from_dict(good).n_tweets == 10
-        with pytest.raises(ValueError, match="unknown config field.*bogus"):
-            GenConfig.from_dict({**good, "bogus": 1})
+        # The clock is fixed, so its former fields are unknown keys.
+        for key in ("bogus", "start_time", "mean_gap"):
+            with pytest.raises(ValueError, match=f"unknown config field.*{key}"):
+                GenConfig.from_dict({**good, key: 1})
         missing = dict(good)
         del missing["alpha"], missing["seed"]
         with pytest.raises(ValueError, match="missing config field.*alpha.*seed"):
@@ -286,14 +296,14 @@ class TestGeneratedCorpusShape:
             assert tweet.tokens is not None and len(tweet.tokens) == 1
         times = [t.time for t in corpus.tweets]
         assert all(a <= b for a, b in zip(times, times[1:]))
-        assert times[0] >= 1_500_000_000
+        assert times[0] >= START_TIME
 
     def test_mean_gap_roughly_respected(self):
-        result = generate(small_config(n_tweets=3000, mean_gap=60.0))
+        result = generate(small_config(n_tweets=3000))
         corpus = parse_result(result)
         span = corpus.tweets[-1].time - corpus.tweets[0].time
         mean_gap = span / (len(corpus.tweets) - 1)
-        assert 40.0 < mean_gap < 90.0
+        assert 2 / 3 * MEAN_GAP < mean_gap < 1.5 * MEAN_GAP
 
     def test_zipf_skew_concentrates_on_low_indices(self):
         # Fresh draws avoid a user's own earlier tags, so exact head
