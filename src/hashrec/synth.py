@@ -14,8 +14,9 @@ row per user, then three iterators that each take a block of
 ``_BLOCK`` draws whenever theirs runs out: uniforms, standard
 exponentials (the gaps of the baseline stream) and user ids.
 ``_BLOCK`` is part of that declaration, so changing it changes the
-bytes.  The writer escapes U+0085, U+2028 and U+2029 so that
-``str.splitlines()`` splits the JSONL only between tweets.
+bytes.  The event loop writes each tweet's JSONL line as it emits the
+tweet, byte for byte what ``corpus.tweets_to_jsonl`` writes for it;
+no ``Tweet`` object is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from hashrec.corpus import _TIMESTAMP_LIMIT, FollowGraph, Tweet, follows_to_tsv, tweets_to_jsonl
+from hashrec.corpus import _TIMESTAMP_LIMIT, FollowGraph, follows_to_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -218,14 +219,15 @@ def generate(config: GenConfig) -> GenResult:
     Zipf-drawn hashtags at a rate chosen so scheduled plus fresh tweets
     together keep the mean gap MEAN_GAP.  Adoptions of a tag the
     follower already uses are cancelled and counted, keeping the
-    individual reuse-age histogram on the planted delay law.
+    individual reuse-age histogram on the planted delay law.  The event
+    loop writes each tweet's JSONL line as it emits the tweet.
     """
     rng = np.random.default_rng(config.seed)
     user_ids = [f"u{i:06d}" for i in range(config.n_users)]
     followees, followers = _build_follow_graph(rng, config)
     stats = GenStats(n_edges=sum(len(v) for v in followees.values()))
-    # The simulation's tables die with its frame, before the writer runs.
-    tweets = _simulate(config, rng, user_ids, followers, stats)
+    # The simulation's tables die with its frame, before the lines are joined.
+    lines = _simulate(config, rng, user_ids, followers, stats)
     logger.info(
         "generated %d tweets: fresh=%d individual=%d (%.3f) social=%d (%.3f) "
         "cancelled=%d collisions=%d unfired=%d",
@@ -251,7 +253,7 @@ def generate(config: GenConfig) -> GenResult:
         f"rng: numpy default_rng (PCG64), seed={config.seed}",
     )
     return GenResult(
-        tweets_jsonl=tweets_to_jsonl(tweets),
+        tweets_jsonl="".join(lines),
         follows_tsv=follows_to_tsv(graph, header_comments=header),
         stats=stats,
     )
@@ -259,11 +261,18 @@ def generate(config: GenConfig) -> GenResult:
 
 def _simulate(
     config: GenConfig, rng: np.random.Generator, user_ids: list[str], followers: list[list[int]], stats: GenStats
-) -> list[Tweet]:
-    """Run the event loop of ``generate``; fills ``stats`` and returns the tweets in emission order."""
+) -> list[str]:
+    """Run the event loop of ``generate``; fills ``stats`` and returns the JSONL lines in emission order.
+
+    A line is what ``corpus.tweets_to_jsonl`` writes for the tweet: its
+    ids and labels are ``[a-z0-9]`` ASCII, so quoting adds only the
+    quotes, and with one hashtag the keys are already sorted.  So it is
+    a head cached per tag id, the rounded time, ``t%08d`` of the
+    emission index and a tail per user.
+    """
     uniform, exponential, draw_user = _stream(rng, config.n_users)
-    # Tweets with one tag id share its hashtag set and token tuple, made on first use.
-    labels: dict[int, tuple[frozenset[str], tuple[str]]] = {}
+    heads: dict[int, str] = {}
+    tails = [f', "user_id": "{user_id}"}}\n' for user_id in user_ids]
 
     mean_followers = stats.n_edges / config.n_users
     q_social = config.p_social / mean_followers if mean_followers > 0 else 0.0
@@ -289,13 +298,17 @@ def _simulate(
     width_a = lo_a - delay_hi**-config.alpha
     delay_power = -1.0 / config.alpha
 
+    # A baseline stream that expects under one tweet in the corpus's span
+    # is left out, as where the shares sum to 1.  Its gap would otherwise
+    # reach 2e18 s at a rounding residue of 1 - p_individual - p_social
+    # (0.85 and 0.15 leave 2.8e-17) and carry tweet times past 2**63.
     base_keep = 1.0 - config.p_individual - config.p_social
-    base_gap = MEAN_GAP / base_keep if base_keep > 0 else math.inf
+    base_gap = MEAN_GAP / base_keep if base_keep * config.n_tweets >= 1.0 else math.inf
 
     own_tags: list[set[int]] = [set() for _ in range(config.n_users)]
     heap: list[tuple[float, int, int, int, int]] = []
     seq = itertools.count()
-    tweets: list[Tweet] = []
+    lines: list[str] = []
     last_time = float(START_TIME)
     next_base = START_TIME + exponential() * base_gap if math.isfinite(base_gap) else math.inf
 
@@ -311,8 +324,8 @@ def _simulate(
 
     def emit(user: int, tag: int, time_f: float) -> None:
         nonlocal last_time
-        hashtags, tokens = labels.get(tag) or labels.setdefault(tag, (frozenset((f"h{tag:07d}",)), (f"w{tag:07d}",)))
-        tweets.append(Tweet(f"t{len(tweets):08d}", user_ids[user], int(round(time_f)), hashtags, tokens))
+        head = heads.get(tag) or heads.setdefault(tag, f'{{"hashtags": ["h{tag:07d}"], "text": "w{tag:07d}", "timestamp": ')
+        lines.append(f'{head}{round(time_f)}, "tweet_id": "t{len(lines):08d}"{tails[user]}')
         last_time = time_f
         own_tags[user].add(tag)
         if uniform() < config.p_individual:
@@ -324,7 +337,7 @@ def _simulate(
                     delay = (lo_a - uniform() * width_a) ** delay_power
                     heapq.heappush(heap, (time_f + delay, next(seq), _KIND_SOCIAL, follower, tag))
 
-    while len(tweets) < config.n_tweets:
+    while len(lines) < config.n_tweets:
         if heap and heap[0][0] <= next_base:
             time_f, _, kind, user, tag = heapq.heappop(heap)
             if kind == _KIND_SOCIAL and tag in own_tags[user]:
@@ -340,13 +353,13 @@ def _simulate(
                 time_f = next_base
                 next_base += exponential() * base_gap
             else:
-                # Entire stream is scheduled reuse; keep time moving
-                # when nothing is pending yet (at most the first tweet).
+                # No baseline stream: with nothing pending, a fresh
+                # tweet keeps time moving.
                 time_f = last_time + exponential() * MEAN_GAP
             user = draw_user()
             emit(user, fresh_tag(user), time_f)
             stats.n_fresh += 1
 
-    stats.n_tweets = len(tweets)
+    stats.n_tweets = len(lines)
     stats.n_unfired_events = len(heap)
-    return tweets
+    return lines

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hashrec.corpus import build_corpus, parse_follows, parse_tweets
+from hashrec.corpus import build_corpus, parse_follows, parse_tweets, tweets_to_jsonl
 from hashrec.reuse import ReuseCategory, category_distribution
 from hashrec.synth import _BLOCK, _MAX_TWEETS, MEAN_GAP, START_TIME, GenConfig, _stream, generate
 
@@ -154,59 +156,102 @@ PINNED_SMALL = dict(
 )
 
 
+# Degenerate configs, as overrides of PINNED_SMALL, with the sha256 of their tweets and follows.
+PINNED_CASES = [
+    # One user: every user id drawn is 0.
+    pytest.param(
+        {"n_users": 1, "p_social": 0.0},
+        "364b8fc8237d28f381e9dd861ef86a9cd4584ef41d0752e2eaacf289e297a4c6",
+        "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
+        id="one-user",
+    ),
+    # p_individual + p_social = 1: no baseline stream, infinite base gap.
+    pytest.param(
+        {"p_individual": 0.6, "p_social": 0.4},
+        "24b3deefb09b196ef32840546dcb540792c39a667abc9ab35a60729d090e95ef",
+        "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
+        id="no-baseline",
+    ),
+    # No edges, so no social draws.
+    pytest.param(
+        {"follow_prob": 0.0, "p_social": 0.0},
+        "82e0cac9476e78a8b502ff7edeaaac512ed22a55d8cec24cee1830f947393baf",
+        "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
+        id="no-edges",
+    ),
+    pytest.param(
+        {"follow_prob": 1.0},
+        "567a8dab59b241e03def7f639037347b0bf87614ab6bd4d838286b37b4302b45",
+        "892a35acc48c1d9f1117cc5940c84f8bc84cc65cc5f34f177be5cce0f5fa7769",
+        id="complete-graph",
+    ),
+    # A graph too sparse for p_social: every follower adopts.
+    pytest.param(
+        {"follow_prob": 0.01, "p_social": 0.5},
+        "7d2760524377d374d9b90075e08d3964567f1840d3a72cb9ee942c686e6e79c6",
+        "b0955bfa6d85ca8b049223809e0352caee08f47bc13b66989975426a95af9038",
+        id="sparse-graph",
+    ),
+    # One hashtag: every fresh draw collides.
+    pytest.param(
+        {"vocab_size": 1},
+        "12817bc36d42260fe0aedc1bdd616b588e75dc8ba1f3f8ae91d0acdf0fdea3a0",
+        "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
+        id="one-hashtag",
+    ),
+]
+
+
 class TestPinnedStream:
     """Output bytes recorded from the block-draw stream declared in ``hashrec.synth``; a drift in it moves them."""
 
-    @pytest.mark.parametrize(
-        "overrides,tweets_sha,follows_sha",
-        [
-            # One user: every user id drawn is 0.
-            pytest.param(
-                {"n_users": 1, "p_social": 0.0},
-                "364b8fc8237d28f381e9dd861ef86a9cd4584ef41d0752e2eaacf289e297a4c6",
-                "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
-                id="one-user",
-            ),
-            # p_individual + p_social = 1: no baseline stream, infinite base gap.
-            pytest.param(
-                {"p_individual": 0.6, "p_social": 0.4},
-                "24b3deefb09b196ef32840546dcb540792c39a667abc9ab35a60729d090e95ef",
-                "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
-                id="no-baseline",
-            ),
-            # No edges, so no social draws.
-            pytest.param(
-                {"follow_prob": 0.0, "p_social": 0.0},
-                "82e0cac9476e78a8b502ff7edeaaac512ed22a55d8cec24cee1830f947393baf",
-                "530303bdb93b0cb4d78312de433fa256258cdd3161e76eb2408dfb754ce717a9",
-                id="no-edges",
-            ),
-            pytest.param(
-                {"follow_prob": 1.0},
-                "567a8dab59b241e03def7f639037347b0bf87614ab6bd4d838286b37b4302b45",
-                "892a35acc48c1d9f1117cc5940c84f8bc84cc65cc5f34f177be5cce0f5fa7769",
-                id="complete-graph",
-            ),
-            # A graph too sparse for p_social: every follower adopts.
-            pytest.param(
-                {"follow_prob": 0.01, "p_social": 0.5},
-                "7d2760524377d374d9b90075e08d3964567f1840d3a72cb9ee942c686e6e79c6",
-                "b0955bfa6d85ca8b049223809e0352caee08f47bc13b66989975426a95af9038",
-                id="sparse-graph",
-            ),
-            # One hashtag: every fresh draw collides.
-            pytest.param(
-                {"vocab_size": 1},
-                "12817bc36d42260fe0aedc1bdd616b588e75dc8ba1f3f8ae91d0acdf0fdea3a0",
-                "f64054c5b484259d6f0c7ddfccf03cf18eca3bee58ccba654e11c529381476df",
-                id="one-hashtag",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("overrides,tweets_sha,follows_sha", PINNED_CASES)
     def test_degenerate_configs_keep_their_bytes(self, overrides, tweets_sha, follows_sha):
         result = generate(GenConfig(**{**PINNED_SMALL, **overrides}))
         assert sha256(result.tweets_jsonl) == tweets_sha
         assert sha256(result.follows_tsv) == follows_sha
+
+
+@st.composite
+def gen_configs(draw):
+    n_users = draw(st.integers(1, 8))
+    p_individual = draw(st.floats(0.0, 1.0))
+    # p_social needs a second user; the float sum of the two stays <= 1.
+    p_social = 0.0 if n_users == 1 else draw(st.floats(0.0, 1.0 - p_individual))
+    return GenConfig(
+        n_users=n_users,
+        n_tweets=draw(st.integers(1, 300)),
+        follow_prob=draw(st.floats(0.0, 1.0)),
+        p_individual=p_individual,
+        p_social=p_social,
+        alpha=draw(st.floats(0.1, 3.0)),
+        zipf_s=draw(st.floats(0.0, 2.0)),
+        vocab_size=draw(st.integers(1, 50)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestWriterAgainstSerialiser:
+    """The lines the event loop writes are what ``corpus.tweets_to_jsonl`` writes for the tweets they parse to."""
+
+    @staticmethod
+    def check(config):
+        document = generate(config).tweets_jsonl
+        tweets = parse_tweets(document.splitlines())
+        assert document == tweets_to_jsonl(tweets)
+        assert [tweet.tweet_id for tweet in tweets] == [f"t{i:08d}" for i in range(config.n_tweets)]
+        # A line without its text would pass the round trip: check each tweet's labels as well.
+        assert all(len(tweet.hashtags) == 1 for tweet in tweets)
+        assert all(tweet.tokens == ("w" + min(tweet.hashtags)[1:],) for tweet in tweets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen_configs())
+    def test_drawn_configs(self, config):
+        self.check(config)
+
+    @pytest.mark.parametrize("overrides", [pytest.param(case.values[0], id=case.id) for case in PINNED_CASES])
+    def test_degenerate_configs(self, overrides):
+        self.check(GenConfig(**{**PINNED_SMALL, **overrides}))
 
 
 INTEGER_BOUNDS = (1, 2, 3, 280, 2**31 + 1, 2**32)
@@ -270,6 +315,13 @@ class TestDegenerateConfigs:
         assert result.stats.n_individual == 9
         times = [t.time for t in corpus.tweets]
         assert all(a < b for a, b in zip(times, times[1:]))
+
+    # 1 - 0.85 - 0.15 leaves 2.8e-17; one ulp less of p_social leaves a share that expects no baseline tweet.
+    @pytest.mark.parametrize("p_social", [0.15, math.nextafter(0.15, 0.0)], ids=["sum-1", "sum-below-1"])
+    def test_shares_summing_to_about_one_keep_times_on_the_clock(self, p_social):
+        config = small_config(n_tweets=300, follow_prob=0.0, p_individual=0.85, p_social=p_social)
+        times = [tweet.time for tweet in parse_result(generate(config)).tweets]  # parsing refuses times past 2**63
+        assert max(times) - START_TIME < 1000 * config.n_tweets * MEAN_GAP
 
     def test_no_reuse_at_all(self):
         config = small_config(p_individual=0.0, p_social=0.0, n_tweets=500)
