@@ -30,6 +30,8 @@ _TIMESTAMP_LIMIT = 2**63
 _NO_USES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
 
 _hashtags, _user_id, _time = attrgetter("hashtags"), attrgetter("user_id"), attrgetter("time")
+# Tweet.sort_key as one C call per tweet.
+_sort_key = attrgetter("time", "tweet_id")
 
 # Tokens are maximal runs of word characters excluding underscore.
 # Hashtag mentions inside the text, underscores included, are removed
@@ -53,7 +55,7 @@ _RECORD_CHECKS = (
 
 # The whitespace json.loads skips around a value; str.strip() skips more.
 _JSON_WHITESPACE = " \t\n\r"
-_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once
 _quote = json.encoder.encode_basestring
 # str.splitlines() breaks lines at these too, and json.dumps(ensure_ascii=False) leaves them raw.
 _LINE_BREAKS = "\x85\u2028\u2029"
@@ -81,7 +83,7 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_RE.findall(cleaned) if len(tok) >= 2]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Tweet:
     """One post: who said it, when, which hashtags, optional tokens.
 
@@ -96,8 +98,29 @@ class Tweet:
     hashtags: frozenset[str]
     tokens: tuple[str, ...] | None = None
 
+    def __init__(
+        self,
+        tweet_id: str,
+        user_id: str,
+        time: Timestamp,
+        hashtags: frozenset[str],
+        tokens: tuple[str, ...] | None = None,
+    ) -> None:
+        # The generated frozen __init__ goes through object.__setattr__ per
+        # field; the slots' own descriptors set the same five values faster.
+        _set_tweet_id(self, tweet_id)
+        _set_user_id(self, user_id)
+        _set_time(self, time)
+        _set_hashtags(self, hashtags)
+        _set_tokens(self, tokens)
+
     def sort_key(self) -> tuple[Timestamp, str]:
         return (self.time, self.tweet_id)
+
+
+_set_tweet_id, _set_user_id, _set_time, _set_hashtags, _set_tokens = (
+    Tweet.tweet_id.__set__, Tweet.user_id.__set__, Tweet.time.__set__, Tweet.hashtags.__set__, Tweet.tokens.__set__
+)
 
 
 @dataclass(frozen=True)
@@ -167,20 +190,22 @@ def parse_tweets(lines: Iterable[str]) -> list[Tweet]:
     tweet ids.  Hashtags are normalized; empty ones are dropped.
     Records with empty hashtag sets are retained (they still carry
     content history even though they add no usage events).  Tweets with
-    equal raw hashtag lists share one frozenset, and one user's tweets
-    share one ``user_id`` string.
+    equal raw hashtag lists share one frozenset, tweets with equal text
+    share one tokens tuple, and one user's tweets share one ``user_id``
+    string.
     """
     tweets: list[Tweet] = []
     seen_ids: dict[str, int] = {}
     tag_sets: dict[tuple[str, ...], frozenset[str]] = {}
+    token_tuples: dict[str, tuple[str, ...]] = {}
     user_ids: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         body = line.strip(_JSON_WHITESPACE)
+        if not body or body.isspace():  # the lines where line.strip() is empty
+            continue
         try:
-            record, end = _decode(body)
-        except json.JSONDecodeError:
+            record, end = _scan(body, 0)
+        except (StopIteration, json.JSONDecodeError):  # StopIteration: no value at 0
             end = -1
         if end != len(body):
             try:  # not one JSON value: json.loads fails too, and names the fault
@@ -205,8 +230,11 @@ def parse_tweets(lines: Iterable[str]) -> list[Tweet]:
             raise CorpusError(f"line {line_no}: duplicate tweet_id {tweet_id!r} (first seen on line {first_line})")
         tokens: tuple[str, ...] | None = None
         if (text := record.get("text")) is not None:
-            _require(type(text) is str, line_no, "text must be a string")
-            tokens = tuple(tokenize(text))
+            try:  # as with tag_sets: only a string equals a cached string
+                tokens = token_tuples[text]
+            except (KeyError, TypeError):
+                _require(type(text) is str, line_no, "text must be a string")
+                tokens = token_tuples[text] = tuple(tokenize(text))
         tweets.append(Tweet(tweet_id, user_ids.setdefault(user_id, user_id), timestamp, hashtags, tokens))
     return tweets
 
@@ -216,7 +244,8 @@ def parse_follows(lines: Iterable[str]) -> FollowGraph:
 
     Blank lines and lines starting with '#' are skipped.  Self-loops
     are dropped with a logged count; duplicate edges collapse.  Any
-    other shape is a CorpusError naming the line.
+    other shape, a tab in the whitespace around the pair included, is a
+    CorpusError naming the line.
     """
     edges: dict[str, set[str]] = {}
     self_loops = 0
@@ -226,7 +255,7 @@ def parse_follows(lines: Iterable[str]) -> FollowGraph:
             continue
         fields = stripped.split("\t")
         _require(
-            len(fields) == 2 and all(fields),
+            len(fields) == 2 and all(fields) and line.count("\t") == 1,  # no tab stripped off
             line_no,
             "expected exactly two tab-separated ids",
         )
@@ -253,7 +282,7 @@ def load_follows(path: str) -> FollowGraph:
 def build_corpus(tweets: Iterable[Tweet], graph: FollowGraph | None = None) -> Corpus:
     """Sort tweets by (time, tweet_id) and attach the follow graph."""
     graph = graph if graph is not None else FollowGraph(edges={})
-    ordered = tuple(sorted(tweets, key=Tweet.sort_key))
+    ordered = tuple(sorted(tweets, key=_sort_key))
     seen: set[str] = set()
     for tweet in ordered:
         if tweet.tweet_id in seen:
@@ -364,7 +393,7 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
     if isinstance(tweets, Corpus):
         ordered: Sequence[Tweet] = tweets.tweets
     else:
-        ordered = sorted(tweets, key=Tweet.sort_key)
+        ordered = sorted(tweets, key=_sort_key)
     tagged = [tweet for tweet in ordered if tweet.hashtags]
     sizes = np.fromiter(map(len, map(_hashtags, tagged)), dtype=np.intp, count=len(tagged))
     user_codes: dict[str, int] = defaultdict(count().__next__)  # codes in first-seen order
