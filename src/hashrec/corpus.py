@@ -230,10 +230,8 @@ def parse_tweets(lines: Iterable[str]) -> list[Tweet]:
             raise CorpusError(f"line {line_no}: duplicate tweet_id {tweet_id!r} (first seen on line {first_line})")
         tokens: tuple[str, ...] | None = None
         if (text := record.get("text")) is not None:
-            try:  # as with tag_sets: only a string equals a cached string
-                tokens = token_tuples[text]
-            except (KeyError, TypeError):
-                _require(type(text) is str, line_no, "text must be a string")
+            _require(type(text) is str, line_no, "text must be a string")
+            if (tokens := token_tuples.get(text)) is None:  # .get: where texts are distinct, most lines miss
                 tokens = token_tuples[text] = tuple(tokenize(text))
         tweets.append(Tweet(tweet_id, user_ids.setdefault(user_id, user_id), timestamp, hashtags, tokens))
     return tweets
