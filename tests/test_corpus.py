@@ -1,7 +1,10 @@
 """Parsing, indexing, splitting, and round-trip serialization."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +39,70 @@ def make_tweet(tweet_id, user_id, time, hashtags, tokens=None):
         hashtags=frozenset(hashtags),
         tokens=tuple(tokens) if tokens is not None else None,
     )
+
+
+class TestTweetContract:
+    """Tweet sets its slots in its own __init__; the rest stays generated."""
+
+    FIELDS = ("tweet_id", "user_id", "time", "hashtags", "tokens")
+
+    def tweet(self):
+        return Tweet("t1", "u1", 5, frozenset({"a", "b"}), ("x", "yz"))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        tweet = self.tweet()
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tweet, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(tweet, name)
+        assert tweet == self.tweet()
+
+    def test_keyword_positional_and_default_construction(self):
+        keyword = Tweet(tokens=("x", "yz"), hashtags=frozenset({"b", "a"}), time=5, user_id="u1", tweet_id="t1")
+        assert keyword == self.tweet()
+        assert tuple(getattr(keyword, name) for name in self.FIELDS) == (
+            "t1", "u1", 5, frozenset({"a", "b"}), ("x", "yz")
+        )
+        assert Tweet("t1", "u1", 5, frozenset()).tokens is None
+        assert Tweet("t1", "u1", 5, frozenset(), ()).tokens == ()
+        for args, kwargs in [(("t1", "u1", 5), {}), (("t1", "u1", 5, frozenset(), None, "x"), {}),
+                             (("t1", "u1", 5, frozenset()), {"text": "x"}), ((), {"tweet_id": "t1"})]:
+            with pytest.raises(TypeError):
+                Tweet(*args, **kwargs)
+
+    def test_equal_fields_give_equal_tweets_and_hashes(self):
+        # Equal but distinct objects in every field.
+        twin = Tweet("".join(["t", "1"]), "".join(["u", "1"]), 5, frozenset(["b", "a"]), tuple(["x", "yz"]))
+        assert twin == self.tweet() and hash(twin) == hash(self.tweet())
+        assert twin.tweet_id is not self.tweet().tweet_id
+        for name, other in zip(self.FIELDS, ("t2", "u2", 6, frozenset({"a"}), None)):
+            changed = dataclasses.replace(self.tweet(), **{name: other})
+            assert changed != self.tweet()
+        assert self.tweet() != ("t1", "u1", 5, frozenset({"a", "b"}), ("x", "yz"))
+
+    def test_repr_fields_and_match_args(self):
+        assert repr(Tweet("t1", "u1", 5, frozenset({"a"}), ("x",))) == (
+            "Tweet(tweet_id='t1', user_id='u1', time=5, hashtags=frozenset({'a'}), tokens=('x',))"
+        )
+        assert tuple(field.name for field in dataclasses.fields(Tweet)) == self.FIELDS
+        assert dataclasses.fields(Tweet)[-1].default is None
+        assert Tweet.__match_args__ == self.FIELDS
+        match self.tweet():
+            case Tweet(tweet_id, user_id, time, hashtags, tokens):
+                assert (tweet_id, user_id, time, hashtags, tokens) == ("t1", "u1", 5, {"a", "b"}, ("x", "yz"))
+
+    def test_slots_only(self):
+        assert not hasattr(self.tweet(), "__dict__")
+        assert Tweet.__slots__ == self.FIELDS
+
+    def test_copies_and_pickles_are_equal(self):
+        tweet = self.tweet()
+        assert copy.copy(tweet) == tweet
+        assert copy.deepcopy(tweet) == tweet
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(tweet, protocol))
+            assert restored == tweet and hash(restored) == hash(tweet)
 
 
 class TestTokenize:
@@ -220,6 +287,9 @@ BAD_VALUES = {
 MISSING = object()
 BROKEN_FIELDS = [(field, value) for field, values in BAD_VALUES.items() for value in [MISSING, *values]]
 IDS = st.one_of(st.sampled_from(["t1", "t2", "é", "e\u0301", "日本", "t\u0000"]), st.text(min_size=1, max_size=4))
+# A few texts that lines repeat, so the parser's token cache gets hits; the
+# middle two have equal lengths and different tokens.
+TEXTS = st.sampled_from(["", "Deep #AI dives", "deep dives, ok", "Ça #x_y 日本 go"])
 
 
 @st.composite
@@ -240,7 +310,7 @@ def tweet_lines(draw, broken=True):
         "hashtags": draw(st.lists(st.sampled_from(["#NLP", "nlp", "#", "", "Ça", "#日本", "##x"]), max_size=3)),
     }
     if draw(st.booleans()):
-        record["text"] = draw(st.none() | st.text(max_size=12))
+        record["text"] = draw(st.none() | st.text(max_size=12) | TEXTS)
     # One field broken, or two, where the message must name the first in check order.
     for field, value in draw(st.lists(st.sampled_from(BROKEN_FIELDS), min_size=1, max_size=2)) if kind == "broken" else ():
         if value is MISSING:
@@ -279,6 +349,27 @@ class TestParseTweetsAgainstReference:
         assert first.hashtags is second.hashtags
         assert first.user_id is second.user_id
 
+    def test_equal_texts_share_one_tokens_tuple(self):
+        def line(i, **text):
+            return json.dumps({"tweet_id": f"t{i}", "user_id": "u1", "timestamp": i, "hashtags": [], **text})
+
+        lines = [line(0, text="Deep #AI dives"), line(1, text="Deep #AI dives"), line(2, text=""), line(3, text=""),
+                 line(4), line(5, text=None), line(6, text="deep dives")]
+        tweets = parse_tweets(lines)
+        assert tweets[0].tokens is tweets[1].tokens
+        assert tweets[0].tokens == tweets[6].tokens == ("deep", "dives")
+        assert tweets[2].tokens == tweets[3].tokens == ()
+        # A line without text, or with a null one, after the cache has hits.
+        assert tweets[4].tokens is None and tweets[5].tokens is None
+        assert tweets == reference_parse_tweets(lines)
+
+
+# Ids follows_to_tsv writes and parse_follows reads back: no tab, no line
+# break, no outer whitespace, and no leading '#' that would make a comment.
+FOLLOW_IDS = st.text(
+    st.characters(exclude_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), min_size=1, max_size=4
+).filter(lambda s: s == s.strip() and not s.startswith("#"))
+
 
 class TestParseFollows:
     def test_single_edge(self):
@@ -305,10 +396,21 @@ class TestParseFollows:
         path.write_text("\ufeffu1\tu2\nu2\tu1\n", encoding="utf-8")
         assert load_follows(str(path)) == FollowGraph(edges={"u1": frozenset({"u2"}), "u2": frozenset({"u1"})})
 
-    @pytest.mark.parametrize("line", ["u1", "u1\tu2\tu3", "u1\t", "\tu2"])
+    # A tab that str.strip() would remove still makes an empty field.
+    @pytest.mark.parametrize("line", ["u1", "u1\tu2\tu3", "u1\t", "\tu2", "u1\tu2\t", "\tu1\tu2"])
     def test_malformed_line_names_line_number(self, line):
         with pytest.raises(CorpusError, match="line 1"):
             parse_follows([line])
+
+    def test_other_outer_whitespace_is_stripped(self):
+        graph = parse_follows([" u1\tu2\r\n", "\u3000u1\tu3 \x0b"])
+        assert graph == FollowGraph(edges={"u1": frozenset({"u2", "u3"})})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(FOLLOW_IDS, st.frozensets(FOLLOW_IDS, min_size=1, max_size=3), max_size=4))
+    def test_every_written_graph_parses_back(self, edges):
+        graph = FollowGraph(edges={u: vs - {u} for u, vs in edges.items() if vs - {u}})
+        assert parse_follows(follows_to_tsv(graph).splitlines()) == graph
 
 
 class TestBuildCorpus:
@@ -337,6 +439,21 @@ class TestBuildCorpus:
         tweets = [make_tweet("t1", "u1", 1, ["a"]), make_tweet("t1", "u2", 2, ["b"])]
         with pytest.raises(CorpusError, match="duplicate"):
             build_corpus(tweets)
+
+    # Ids that differ only in case, in composition, or by a trailing NUL.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["a", "A", "é", "É", "e\u0301", "ß", "ss", "a\u0000", "t10", "t9"]),
+                      st.integers(0, 2)),
+            unique_by=lambda row: row[0],
+        ),
+        data=st.data(),
+    )
+    def test_order_equals_sorting_by_sort_key(self, rows, data):
+        tweets = [make_tweet(tweet_id, "u1", time, ["a"]) for tweet_id, time in rows]
+        shuffled = data.draw(st.permutations(tweets))
+        assert build_corpus(shuffled).tweets == tuple(sorted(tweets, key=Tweet.sort_key))
 
 
 class TestChronologicalSplit:
