@@ -56,7 +56,6 @@ _RECORD_CHECKS = (
 # The whitespace json.loads skips around a value; str.strip() skips more.
 _JSON_WHITESPACE = " \t\n\r"
 _scan = json.JSONDecoder().scan_once
-_quote = json.encoder.encode_basestring
 # str.splitlines() breaks lines at these too, and json.dumps(ensure_ascii=False) leaves them raw.
 _LINE_BREAKS = "\x85\u2028\u2029"
 
@@ -115,7 +114,7 @@ class Tweet:
         _set_tokens(self, tokens)
 
     def sort_key(self) -> tuple[Timestamp, str]:
-        return (self.time, self.tweet_id)
+        return _sort_key(self)
 
 
 _set_tweet_id, _set_user_id, _set_time, _set_hashtags, _set_tokens = (
@@ -135,12 +134,6 @@ class FollowGraph:
 
     def followees(self, user_id: str) -> frozenset[str]:
         return self.edges.get(user_id, frozenset())
-
-    def users(self) -> set[str]:
-        seen = set(self.edges)
-        for targets in self.edges.values():
-            seen.update(targets)
-        return seen
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,8 @@ class Corpus:
     @cached_property
     def users(self) -> frozenset[str]:
         """The tweets' authors and every account in the follow graph."""
-        return frozenset({t.user_id for t in self.tweets} | self.graph.users())
+        edges = self.graph.edges
+        return frozenset({t.user_id for t in self.tweets}.union(edges, *edges.values()))
 
     @cached_property
     def index(self) -> UsageIndex:
@@ -321,8 +315,10 @@ class UsageIndex:
     tweet_id) order with a tweet's hashtags sorted.  ``columns[u]`` is
     the pair (times, tag ids) of u's uses in the same order: read-only
     slices of one user-grouped copy of that column.  So the state as of
-    ``now`` is a prefix of a time-sorted column, and queries that take a
-    ``now`` are strict: only events with time < now count.
+    ``now`` is a prefix of a time-sorted column.  ``ids_before`` and
+    ``uses_before`` cut it strictly, counting only events with time <
+    now; they answer "used before now" for every reader, the reuse
+    oracle too.
     """
 
     tags: tuple[str, ...]
@@ -358,12 +354,6 @@ class UsageIndex:
             return (times[0], ids[0]) if times else _NO_USES
         return np.concatenate(times), np.concatenate(ids)
 
-    def used_before(self, user_id: str, hashtag: str, now: Timestamp) -> bool:
-        return hashtag in map(self.tags.__getitem__, self.uses_before((user_id,), now)[1].tolist())
-
-    def anyone_used_before(self, hashtag: str, now: Timestamp) -> bool:
-        return hashtag in map(self.tags.__getitem__, self.ids_before(now).tolist())
-
 
 def _checked_now(now: Timestamp) -> Timestamp:
     """``now`` itself, if it is a query time the int64 columns can cut at."""
@@ -386,13 +376,11 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
     of the distinct ones, and a ``lexsort`` puts a tweet's hashtags in
     order when some tweet has several.  A stable sort by user cuts the
     column into per-user columns, so each user's uses, and each
-    hashtag's among them, keep that order.
+    hashtag's among them, keep that order.  Plain tweets go through
+    ``build_corpus``, so a repeated tweet id is a CorpusError.
     """
-    if isinstance(tweets, Corpus):
-        ordered: Sequence[Tweet] = tweets.tweets
-    else:
-        ordered = sorted(tweets, key=_sort_key)
-    tagged = [tweet for tweet in ordered if tweet.hashtags]
+    corpus = tweets if isinstance(tweets, Corpus) else build_corpus(tweets)
+    tagged = [tweet for tweet in corpus.tweets if tweet.hashtags]
     sizes = np.fromiter(map(len, map(_hashtags, tagged)), dtype=np.intp, count=len(tagged))
     user_codes: dict[str, int] = defaultdict(count().__next__)  # codes in first-seen order
     users = np.fromiter(map(user_codes.__getitem__, map(_user_id, tagged)), dtype=np.intp, count=len(tagged))
@@ -418,25 +406,22 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
 def tweets_to_jsonl(tweets: Iterable[Tweet]) -> str:
     """Serialize tweets, one JSON object per line, keys and hashtags sorted.
 
-    A line is what ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
-    writes for the record with ``text`` (the tokens joined by spaces, left
-    out when ``tokens`` is None), except that U+0085, U+2028 and U+2029
-    are written as JSON escapes, so ``str.splitlines()`` splits the
-    document only between records.
+    A line is ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+    of the record with ``text`` (the tokens joined by spaces, left out
+    when ``tokens`` is None), with U+0085, U+2028 and U+2029 written as
+    JSON escapes, so ``str.splitlines()`` splits the document only
+    between records.
     """
     lines = []
-    for tweet in tweets:
-        tags = ", ".join(map(_quote, sorted(tweet.hashtags)))
-        text = "" if tweet.tokens is None else f'"text": {_quote(" ".join(tweet.tokens))}, '
-        lines.append(
-            f'{{"hashtags": [{tags}], {text}"timestamp": {tweet.time}, '
-            f'"tweet_id": {_quote(tweet.tweet_id)}, "user_id": {_quote(tweet.user_id)}}}'
-        )
-    document = "\n".join(lines) + ("\n" if lines else "")
-    if any(char in document for char in _LINE_BREAKS):
+    for t in tweets:
+        record = {"hashtags": sorted(t.hashtags), "timestamp": t.time, "tweet_id": t.tweet_id, "user_id": t.user_id}
+        if t.tokens is not None:
+            record["text"] = " ".join(t.tokens)
+        line = json.dumps(record, ensure_ascii=False, sort_keys=True)
         for char in _LINE_BREAKS:
-            document = document.replace(char, f"\\u{ord(char):04x}")
-    return document
+            line = line.replace(char, f"\\u{ord(char):04x}")
+        lines.append(line + "\n")
+    return "".join(lines)
 
 
 def follows_to_tsv(graph: FollowGraph, header_comments: Sequence[str] = ()) -> str:

@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("bll_is", "bll_isc", "mp", "mp_u", "mp_s", "mr")
 
+# Scenario 1's profile: it knows no token, so the query text scores nothing.
+_NO_TEXT = TokenHashtagProfile(0, {}, {})
+
 
 def _ranked_tags(recommended: Sequence) -> list[str]:
     """Accept a scored list or a plain ranked list of hashtags."""
@@ -143,13 +146,11 @@ def _make_recommenders(
     params: ActivationParams,
     lambda_weight: float,
     k_max: int,
-) -> Mapping[str, Callable[[Tweet, TokenHashtagProfile | None], ScoredList]]:
-    # A query comes with a profile only in scenario 2; without one, it
-    # shows no text.
+) -> Mapping[str, Callable[[Tweet, TokenHashtagProfile], ScoredList]]:
     return {
         "bll_is": lambda q, profile: recommend_bll_is(index, graph, q.user_id, q.time, params, k_max),
         "bll_isc": lambda q, profile: recommend_bll_isc(
-            index, graph, profile, q.user_id, q.time, q.tokens if profile else None, params, lambda_weight, k_max
+            index, graph, profile, q.user_id, q.time, q.tokens, params, lambda_weight, k_max
         ),
         "mp": lambda q, profile: mp_global(index, q.time, k_max),
         "mp_u": lambda q, profile: mp_user(index, q.user_id, q.time, k_max),
@@ -170,15 +171,15 @@ def run_eval(
 ) -> dict[str, EvalReport]:
     """Evaluate the named algorithms over the held-out queries.
 
-    Scenario 1 hides query text (history-only); scenario 2 passes the
-    query tweet's tokens, and the profile of the training tweets strictly
-    before it, to content-capable algorithms.  That profile counts only
-    the tokens some query carries, so it answers only for those.
-    Queries run in (time, tweet_id) order regardless of input order, and
-    per-query rows are reduced in that same order, so results do not
-    depend on the test sequence ordering.  ``threads`` is checked and
-    otherwise ignored: queries run in the calling thread, because a
-    thread pool made evaluation slower, not faster.
+    Content-capable algorithms get the query tweet's tokens and a
+    profile: in scenario 2 that of the training tweets strictly before
+    the query, counting only the tokens some query carries; in scenario
+    1 an empty one, so they rank by history alone.  Queries run in
+    (time, tweet_id) order regardless of input order, and per-query rows
+    are reduced in that same order, so results do not depend on the test
+    sequence ordering.  ``threads`` is checked and otherwise ignored:
+    queries run in the calling thread, because a thread pool made
+    evaluation slower, not faster.
     """
     if scenario not in (1, 2):
         raise ValueError("scenario must be 1 or 2")
@@ -205,7 +206,7 @@ def run_eval(
     if scenario == 2 and not any(t.tokens for part in (train.tweets, queries) for t in part):
         raise ValueError("scenario 2 requires text, but neither training nor test tweets have any")
     tokens = {token for q in queries for token in q.tokens or ()}
-    profiles = profiles_before(train, [q.time for q in queries], tokens) if scenario == 2 else repeat(None)
+    profiles = profiles_before(train, [q.time for q in queries], tokens) if scenario == 2 else repeat(_NO_TEXT)
 
     recommenders = _make_recommenders(train.index, train.graph, params, lambda_weight, k_max)
 

@@ -50,13 +50,11 @@ def categorize_assignment(
     Own earlier use and followee earlier use combine into
     INDIVIDUAL_SOCIAL; either alone gives INDIVIDUAL or SOCIAL; an
     earlier use by anyone else gives NETWORK; no earlier use at all is
-    EXTERNAL.  Events at exactly ``now`` never count.
+    EXTERNAL.  Events at exactly ``now`` never count.  Each question
+    looks for the hashtag among the tags of one cut of the index.
     """
-    return _category(
-        index.used_before(user_id, hashtag, now),
-        any(index.used_before(f, hashtag, now) for f in graph.followees(user_id)),
-        index.anyone_used_before(hashtag, now),
-    )
+    cuts = (index.uses_before((user_id,), now)[1], index.uses_before(graph.followees(user_id), now)[1])
+    return _category(*(hashtag in map(index.tags.__getitem__, ids.tolist()) for ids in (*cuts, index.ids_before(now))))
 
 
 def _category(own: bool, social: bool, anywhere: bool) -> ReuseCategory:

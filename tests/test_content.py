@@ -368,3 +368,29 @@ def test_the_blend_is_the_ranked_mix_of_the_whole_union(rows, later, now, lam, k
     for user in ("u1", "u2", "u3"):
         expected = rank_top_k(mix_scores(history_scores(index, corpus.graph, user, now), content, lam), k)
         assert recommend_bll_isc(index, corpus.graph, profile, user, now, tokens, lambda_weight=lam, k=k) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=rows_of(["a", "b", "c", "d", "e"]),
+    now=st.integers(0, 32),
+    k=st.integers(1, 5),
+    tokens=st.none() | st.lists(st.sampled_from(["deep", "nets", "pip", "go"]), max_size=4),
+)
+def test_an_empty_profile_ranks_history_scaled_by_lambda(rows, now, k, tokens):
+    # Scenario 1's case: with no content evidence only lambda * history
+    # ranks.  Scaling by other lambdas can merge adjacent floats into ties,
+    # so only 0.5 (exact) and 1.0 are compared with the history-only list.
+    corpus = corpus_of(rows, {"u1": ["u2", "u3"], "u2": ["u3"]})
+    index = build_usage_index(corpus)
+    for user in ("u1", "u2", "u3", "ghost"):
+        history = recommend_bll_is(index, corpus.graph, user, now, k=k)
+
+        def blend(lam):
+            return recommend_bll_isc(
+                index, corpus.graph, TokenHashtagProfile(0, {}, {}), user, now, tokens, lambda_weight=lam, k=k
+            )
+
+        assert blend(1.0) == history
+        assert blend(0.5) == [(tag, 0.5 * score) for tag, score in history]
+        assert blend(0.0) == [(tag, 0.0) for tag in list(history_scores(index, corpus.graph, user, now))[:k]]

@@ -29,6 +29,7 @@ from hashrec.corpus import (
     tokenize,
     tweets_to_jsonl,
 )
+from hashrec.reuse import ReuseCategory, categorize_assignment
 
 
 def make_tweet(tweet_id, user_id, time, hashtags, tokens=None):
@@ -589,10 +590,8 @@ class TestUsageIndex:
     def test_strictness_of_before_queries(self):
         tweets = [make_tweet("t1", "u1", 10, ["a"])]
         index = build_usage_index(build_corpus(tweets))
-        assert not index.used_before("u1", "a", 10)
-        assert index.used_before("u1", "a", 11)
-        assert not index.anyone_used_before("a", 10)
-        assert index.anyone_used_before("a", 11)
+        assert categorize_assignment(index, FollowGraph(), "u1", "a", 10) is ReuseCategory.EXTERNAL
+        assert categorize_assignment(index, FollowGraph(), "u1", "a", 11) is ReuseCategory.INDIVIDUAL
         assert index.uses_before(["u1"], 10)[0].tolist() == []
         assert index.uses_before(["u1"], 11)[0].tolist() == [10]
 
@@ -616,16 +615,24 @@ class TestUsageIndex:
     )
     def test_lookups_equal_a_scan_of_the_tweets(self, rows, now):
         tweets = [make_tweet(f"t{i:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
-        index = build_usage_index(build_corpus(tweets))
+        graph = FollowGraph(edges={"u0": frozenset({"u1"})})
+        index = build_usage_index(build_corpus(tweets, graph))
         earlier = [t for t in tweets if t.time < now]
         counts = np.bincount(index.ids_before(now), minlength=len(index.tags))
         present = np.flatnonzero(counts)
         view = TagScores(index.tags, present, counts[present].astype(float))
         for hashtag in self.INTERNABLE + self.NEVER:
             anyone = [t for t in earlier if hashtag in t.hashtags]
-            assert index.anyone_used_before(hashtag, now) == bool(anyone)
             for user in ("u0", "u1", "ghost"):
-                assert index.used_before(user, hashtag, now) == any(t.user_id == user for t in anyone)
+                own = any(t.user_id == user for t in anyone)
+                social = any(t.user_id in graph.followees(user) for t in anyone)
+                if own:
+                    expected = ReuseCategory.INDIVIDUAL_SOCIAL if social else ReuseCategory.INDIVIDUAL
+                elif social:
+                    expected = ReuseCategory.SOCIAL
+                else:
+                    expected = ReuseCategory.NETWORK if anyone else ReuseCategory.EXTERNAL
+                assert categorize_assignment(index, graph, user, hashtag, now) is expected
             if anyone:
                 assert view[hashtag] == len(anyone)
             else:
@@ -636,13 +643,17 @@ class TestUsageIndex:
     def test_a_query_time_the_columns_cannot_cut_is_rejected(self, now):
         index = build_usage_index(build_corpus([make_tweet("t1", "u1", 10, ["a"])]))
         for call in (
-            lambda: index.used_before("u1", "never", now),
-            lambda: index.anyone_used_before("never", now),
+            lambda: categorize_assignment(index, FollowGraph(), "u1", "never", now),
             lambda: index.ids_before(now),
             lambda: index.uses_before([], now),
         ):
             with pytest.raises(ValueError, match="now"):
                 call()
+
+    def test_a_repeated_tweet_id_is_rejected(self):
+        tweet = make_tweet("t1", "u1", 10, ["a"])
+        with pytest.raises(CorpusError, match="duplicate tweet_id 't1'"):
+            build_usage_index([tweet, tweet])
 
 
 def loop_index(tweets):
@@ -712,6 +723,30 @@ class TestBuildUsageIndexAgainstLoop:
             for user, (user_times, user_ids) in columns.items():
                 assert_same_array(index.columns[user][0], user_times)
                 assert_same_array(index.columns[user][1], user_ids)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["u0", "u1", "u2"]),
+                st.integers(0, 4),
+                st.frozensets(st.sampled_from(MANY_TAGS), max_size=4),
+            ),
+            max_size=20,
+        ),
+        data=st.data(),
+    )
+    def test_a_shuffled_list_indexes_as_its_corpus(self, rows, data):
+        tweets = [make_tweet(f"t{i:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
+        index = build_usage_index(data.draw(st.permutations(tweets)))
+        expected = build_usage_index(build_corpus(tweets))
+        assert index.tags == expected.tags
+        assert_same_array(index.times, expected.times)
+        assert_same_array(index.ids, expected.ids)
+        assert list(index.columns) == list(expected.columns)
+        for user, (user_times, user_ids) in expected.columns.items():
+            assert_same_array(index.columns[user][0], user_times)
+            assert_same_array(index.columns[user][1], user_ids)
 
 
 class TestRoundTrip:
