@@ -11,10 +11,11 @@ import json
 import logging
 import math
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, compress, count
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -160,7 +161,11 @@ class Corpus:
 
     @cached_property
     def index(self) -> UsageIndex:
-        """The tweets' usage index, built once; not a field, so == and hash ignore it."""
+        """The tweets' usage index, built once; not a field, so == and hash ignore it.
+
+        ``chronological_split`` sets it on the training corpus, cut from
+        the split corpus's index, so that corpus never builds one.
+        """
         return build_usage_index(self)
 
     @cached_property
@@ -290,18 +295,63 @@ def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corp
     tweets, the final ``per_user_holdout`` of them (by (time, tweet_id)
     order) become test queries; everything else, including tweets with
     no hashtags and all tweets of ineligible users, stays in training.
+
+    The training corpus comes with its ``index`` already set: a cut of
+    ``corpus.index`` (built first if need be), equal to what
+    ``build_usage_index`` would build from the training tweets.  The
+    held-out tweets' uses are their tweets' runs of the global time
+    column, and the tail of each held-out user's column.
     """
     if per_user_holdout < 1:
         raise ValueError("per_user_holdout must be >= 1")
-    tagged_by_user: dict[str, list[Tweet]] = {}
-    for tweet in corpus.tweets:
+    tweets = corpus.tweets
+    tagged_by_user: dict[str, list[Tweet]] = defaultdict(list)
+    for tweet in tweets:
         if tweet.hashtags:
-            tagged_by_user.setdefault(tweet.user_id, []).append(tweet)
-    held_out = [tweets[-per_user_holdout:] for tweets in tagged_by_user.values() if len(tweets) > per_user_holdout]
-    test_ids = {t.tweet_id for tweets in held_out for t in tweets}
-    train = tuple(t for t in corpus.tweets if t.tweet_id not in test_ids)
-    test = [t for t in corpus.tweets if t.tweet_id in test_ids]
-    return Corpus(tweets=train, graph=corpus.graph), test
+            tagged_by_user[tweet.user_id].append(tweet)
+    held_by_user = {
+        user: tagged[-per_user_holdout:] for user, tagged in tagged_by_user.items() if len(tagged) > per_user_holdout
+    }
+    del tagged_by_user
+    tails = {user: sum(map(len, map(_hashtags, held))) for user, held in held_by_user.items()}
+    # Sort keys are unique, so a binary search finds each held-out tweet.
+    held = sorted(bisect_left(tweets, _sort_key(t), key=_sort_key) for t in chain.from_iterable(held_by_user.values()))
+    del held_by_user
+    sizes = np.fromiter(map(len, map(_hashtags, tweets)), dtype=np.intp, count=len(tweets))
+    kept = np.ones(len(tweets), dtype=bool)
+    kept[held] = False
+    train = Corpus(tweets=tuple(compress(tweets, kept.tolist())), graph=corpus.graph)
+    # A tweet's uses are len(hashtags) consecutive entries of the global
+    # column, so repeating each tweet's flag that often flags every use.
+    vars(train)["index"] = _cut_index(corpus.index, kept.repeat(sizes), tails)
+    return train, [tweets[position] for position in held]
+
+
+def _cut_index(index: UsageIndex, kept: np.ndarray, tails: Mapping[str, int]) -> UsageIndex:
+    """``index`` with only the uses ``kept`` flags in its global column.
+
+    The others must be the last ``tails[u]`` uses of each user u's
+    column and leave u at least one, so the users and their order stay.
+    Hashtags left without a use leave ``tags``, and the ids above them
+    close up.
+    """
+    times, ids = index.times[kept], index.ids[kept]
+    used = np.bincount(ids, minlength=len(index.tags)).astype(bool)
+    renumber = (np.cumsum(used) - 1).astype(np.int32)
+    ends = [user_times.size - tails.get(user, 0) for user, (user_times, _) in index.columns.items()]
+    cut = [(user_times[:end], user_ids[:end]) for (user_times, user_ids), end in zip(index.columns.values(), ends)]
+    user_times, user_ids = (np.concatenate(parts) for parts in zip(*(cut or [_NO_USES])))
+    user_times, user_ids = _frozen(user_times), _frozen(renumber[user_ids])
+    ends = np.cumsum(ends, dtype=np.intp).tolist()
+    return UsageIndex(
+        tags=tuple(compress(index.tags, used.tolist())),
+        times=_frozen(times),
+        ids=_frozen(renumber[ids]),
+        columns={
+            user: (user_times[start:end], user_ids[start:end])
+            for user, start, end in zip(index.columns, [0] + ends, ends)
+        },
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,27 +422,41 @@ def build_usage_index(tweets: Iterable[Tweet] | Corpus) -> UsageIndex:
 
     The tagged tweets in (time, tweet_id) order give the global time
     column without a loop per use: each tweet's time and first-seen user
-    code repeat once per hashtag, hashtags are interned through one sort
-    of the distinct ones, and a ``lexsort`` puts a tweet's hashtags in
-    order when some tweet has several.  A stable sort by user cuts the
+    code repeat once per hashtag.  Hashtags are interned through one sort
+    of the distinct ones, once per distinct hashtag set (``parse_tweets``
+    shares equal sets), and a set's ids come out sorted; each tweet's
+    uses are its set's run of ids.  A stable sort by user cuts the
     column into per-user columns, so each user's uses, and each
     hashtag's among them, keep that order.  Plain tweets go through
     ``build_corpus``, so a repeated tweet id is a CorpusError.
     """
     corpus = tweets if isinstance(tweets, Corpus) else build_corpus(tweets)
     tagged = [tweet for tweet in corpus.tweets if tweet.hashtags]
-    sizes = np.fromiter(map(len, map(_hashtags, tagged)), dtype=np.intp, count=len(tagged))
+    set_codes: dict[frozenset[str], int] = defaultdict(count().__next__)
+    codes = np.fromiter(map(set_codes.__getitem__, map(_hashtags, tagged)), dtype=np.intp, count=len(tagged))
     user_codes: dict[str, int] = defaultdict(count().__next__)  # codes in first-seen order
     users = np.fromiter(map(user_codes.__getitem__, map(_user_id, tagged)), dtype=np.intp, count=len(tagged))
-    users = users.repeat(sizes)
-    times = np.fromiter(map(_time, tagged), dtype=np.int64, count=len(tagged)).repeat(sizes)
-    tags = tuple(sorted(set().union(*map(_hashtags, tagged))))
+    times = np.fromiter(map(_time, tagged), dtype=np.int64, count=len(tagged))
+    del tagged
+    tags = tuple(sorted(set().union(*set_codes)))
     interned = dict(zip(tags, range(len(tags))))
-    uses = map(interned.__getitem__, chain.from_iterable(map(_hashtags, tagged)))
-    ids = np.fromiter(uses, dtype=np.int32, count=users.size)
-    del tagged, interned, uses
-    if ids.size > sizes.size:  # some tweet has several hashtags: sort them within each tweet
-        ids = ids[np.lexsort((ids, np.arange(sizes.size).repeat(sizes)))]
+    # Each distinct set's ids in order, one set after another; no list per
+    # set outlives its sort, so the cyclic collector is not set off.
+    set_ends = np.cumsum(np.fromiter(map(len, set_codes), dtype=np.intp, count=len(set_codes)))
+    set_ids = np.fromiter(map(interned.__getitem__, chain.from_iterable(map(sorted, set_codes))), dtype=np.int32)
+    del set_codes, interned
+    # A tweet's uses are its set's run of set_ids: the use at column
+    # position p, in a tweet whose uses start at u and whose set's ids
+    # start at s, has the id set_ids[s - u + p].
+    sizes = np.diff(set_ends, prepend=0)[codes]
+    positions = set_ends[codes]
+    del codes
+    positions -= np.cumsum(sizes)
+    positions = positions.repeat(sizes)
+    positions += np.arange(positions.size)
+    ids = set_ids[positions]
+    del positions
+    users, times = users.repeat(sizes), times.repeat(sizes)
     order = users.argsort(kind="stable")
     user_times, user_ids = _frozen(times[order]), _frozen(ids[order])
     ends = np.cumsum(np.bincount(users, minlength=len(user_codes))).tolist()

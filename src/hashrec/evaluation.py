@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Mapping, Sequence
 
 from hashrec.activation import ActivationParams, ScoredList, recommend_bll_is
@@ -27,6 +27,8 @@ ALGORITHMS = ("bll_is", "bll_isc", "mp", "mp_u", "mp_s", "mr")
 
 # Scenario 1's profile: it knows no token, so the query text scores nothing.
 _NO_TEXT = TokenHashtagProfile(0, {}, {})
+
+_tweet_id = attrgetter("tweet_id")
 
 
 def _ranked_tags(recommended: Sequence) -> list[str]:
@@ -198,10 +200,10 @@ def run_eval(
     for query in queries:
         if not query.hashtags:
             raise ValueError(f"test tweet {query.tweet_id!r} has no hashtags")
-    train_ids = {t.tweet_id for t in train.tweets}
-    leaked = [q.tweet_id for q in queries if q.tweet_id in train_ids]
+    leaked = {q.tweet_id for q in queries}.intersection(map(_tweet_id, train.tweets))
     if leaked:
-        raise ValueError(f"test tweet(s) also present in training data: {', '.join(leaked[:5])}")
+        listed = [q.tweet_id for q in queries if q.tweet_id in leaked]
+        raise ValueError(f"test tweet(s) also present in training data: {', '.join(listed[:5])}")
 
     if scenario == 2 and not any(t.tokens for part in (train.tweets, queries) for t in part):
         raise ValueError("scenario 2 requires text, but neither training nor test tweets have any")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hashrec.corpus
 from hashrec.activation import TagScores
 from hashrec.corpus import (
     Corpus,
@@ -29,6 +30,7 @@ from hashrec.corpus import (
     tokenize,
     tweets_to_jsonl,
 )
+from hashrec.evaluation import run_eval
 from hashrec.reuse import ReuseCategory, categorize_assignment
 
 
@@ -519,12 +521,16 @@ class TestChronologicalSplit:
             st.tuples(
                 st.sampled_from(["u0", "u1", "u2"]),
                 st.integers(0, 6),
-                st.frozensets(st.sampled_from(["a", "b"]), max_size=2),
+                # "c" is rare, so it often occurs only in held-out tweets.
+                st.frozensets(st.sampled_from(["a"] * 4 + ["b"] * 4 + ["c"]), max_size=2),
             ),
             max_size=30,
         ),
         edges=st.lists(st.tuples(st.sampled_from(["u0", "u1", "g0"]), st.sampled_from(["u2", "g1"])), max_size=4),
         holdout=st.integers(1, 3),
+    )
+    @example(  # "c" is only in u0's held-out tweet
+        rows=[("u0", 1, frozenset("a")), ("u0", 2, frozenset("bc")), ("u1", 2, frozenset("a"))], edges=[], holdout=1
     )
     def test_split_equals_a_rebuilt_corpus(self, rows, edges, holdout):
         # Ids out of time order, so same-second ties sort by id; "quiet"
@@ -542,6 +548,70 @@ class TestChronologicalSplit:
         # Every held-out user keeps at least one training tweet.
         assert train.users == corpus.users
         assert test == sorted(test, key=Tweet.sort_key)
+        assert_same_index(train.index, build_usage_index(oracle))
+
+    def split_and_rebuild(self, tweets, holdout=1):
+        """The split of the tweets' corpus, its training index checked against a rebuild."""
+        corpus = build_corpus(tweets)
+        train, test = chronological_split(corpus, holdout)
+        assert_same_index(train.index, build_usage_index(build_corpus(train.tweets)))
+        return corpus, train, test
+
+    def test_a_held_out_tweet_amid_a_same_second_run(self):
+        tweets = [
+            make_tweet("a1", "u1", 1, ["x"]),
+            make_tweet("b1", "u2", 1, ["y"]),
+            make_tweet("s1", "u1", 5, ["x", "y"]),
+            make_tweet("s2", "u2", 5, ["w", "y", "z"]),
+            make_tweet("s3", "u3", 5, ["v", "x"]),
+            make_tweet("a9", "u1", 9, ["x"]),
+        ]
+        _, train, test = self.split_and_rebuild(tweets)
+        assert [t.tweet_id for t in test] == ["s2", "a9"]
+        assert train.index.tags == ("v", "x", "y")  # "w" and "z" occur only in s2
+        assert train.index.times.tolist() == [1, 1, 5, 5, 5, 5]
+
+    def test_every_tweet_in_one_second(self):
+        tweets = [
+            make_tweet(f"t{i:02d}", f"u{i % 3}", 0, MANY_TAGS[i % 5 : i % 5 + i % 4])
+            for i in range(24)
+        ]
+        for holdout in (1, 2, 5, 6):
+            _, _, test = self.split_and_rebuild(tweets, holdout)
+            assert len(test) == (3 * holdout if holdout < 6 else 0)  # each user has six tagged tweets
+
+    def test_an_empty_test_set_keeps_the_corpus_index(self):
+        tweets = [
+            make_tweet("t1", "u1", 1, ["a", "b"]),
+            make_tweet("t2", "u2", 1, ["c"]),
+            make_tweet("t3", "u1", 2, []),
+        ]
+        corpus, train, test = self.split_and_rebuild(tweets)
+        assert test == []
+        assert_same_index(train.index, corpus.index)
+
+    def test_a_corpus_without_hashtags(self):
+        _, train, test = self.split_and_rebuild([make_tweet("t1", "u1", 1, []), make_tweet("t2", "u1", 2, [])])
+        assert test == []
+        assert (train.index.tags, train.index.n_events, dict(train.index.columns)) == ((), 0, {})
+
+    def test_the_split_and_run_eval_build_no_index(self, monkeypatch):
+        tweets = [
+            make_tweet(f"t{i:02d}", f"u{i % 4}", i // 3, MANY_TAGS[i % 7 : i % 7 + 1 + i % 2], ["w" + str(i % 5)])
+            for i in range(40)
+        ]
+        corpus = build_corpus(tweets, FollowGraph({"u0": frozenset({"u1", "u2"})}))
+        corpus.index
+        calls = []
+        build = hashrec.corpus.build_usage_index
+        monkeypatch.setattr(hashrec.corpus, "build_usage_index", lambda source: calls.append(source) or build(source))
+        train, test = chronological_split(corpus, 2)
+        run_eval(train, test, scenario=1)
+        run_eval(train, test, scenario=2)
+        assert calls == []
+        # The counter sees the builds that Corpus.index makes.
+        assert_same_index(Corpus(train.tweets, train.graph).index, train.index)
+        assert len(calls) == 1
 
 
 class TestUsageIndex:
@@ -689,6 +759,17 @@ def assert_same_array(actual, expected):
     np.testing.assert_array_equal(actual, expected)
 
 
+def assert_same_index(actual, expected):
+    """Equal tags, columns, dtypes, user order and read-only flags."""
+    assert actual.tags == expected.tags
+    assert list(actual.columns) == list(expected.columns)
+    pairs = [(actual.times, expected.times), (actual.ids, expected.ids)]
+    pairs += [pair for user in expected.columns for pair in zip(actual.columns[user], expected.columns[user])]
+    for actual_array, expected_array in pairs:
+        assert_same_array(actual_array, expected_array)
+        assert not actual_array.flags.writeable and not expected_array.flags.writeable
+
+
 # Twelve hashtags: a set of several of them rarely iterates in sorted order.
 MANY_TAGS = [f"h{i:02d}" for i in range(12)]
 
@@ -739,14 +820,7 @@ class TestBuildUsageIndexAgainstLoop:
     def test_a_shuffled_list_indexes_as_its_corpus(self, rows, data):
         tweets = [make_tweet(f"t{i:02d}", user, time, tags) for i, (user, time, tags) in enumerate(rows)]
         index = build_usage_index(data.draw(st.permutations(tweets)))
-        expected = build_usage_index(build_corpus(tweets))
-        assert index.tags == expected.tags
-        assert_same_array(index.times, expected.times)
-        assert_same_array(index.ids, expected.ids)
-        assert list(index.columns) == list(expected.columns)
-        for user, (user_times, user_ids) in expected.columns.items():
-            assert_same_array(index.columns[user][0], user_times)
-            assert_same_array(index.columns[user][1], user_ids)
+        assert_same_index(index, build_usage_index(build_corpus(tweets)))
 
 
 class TestRoundTrip:
@@ -794,8 +868,8 @@ FIELD_TEXT = st.text(min_size=1, max_size=8) | st.sampled_from(
 )
 
 
-def record_line(tweet):
-    """The writer's line for one tweet, built independently with json.dumps."""
+def record_of(tweet):
+    """The record a tweet's line must hold, its keys written out here."""
     record = {
         "tweet_id": tweet.tweet_id,
         "user_id": tweet.user_id,
@@ -804,10 +878,7 @@ def record_line(tweet):
     }
     if tweet.tokens is not None:
         record["text"] = " ".join(tweet.tokens)
-    line = json.dumps(record, ensure_ascii=False, sort_keys=True)
-    for char in LINE_BREAKING:
-        line = line.replace(char, f"\\u{ord(char):04x}")
-    return line
+    return record
 
 
 @st.composite
@@ -826,10 +897,13 @@ def serial_tweets(draw):
 class TestSerializeTweets:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(serial_tweets(), max_size=5, unique_by=lambda t: t.tweet_id))
-    def test_matches_json_dumps_and_parses_back(self, tweets):
-        lines = [record_line(t) for t in tweets]
+    def test_lines_load_as_records_and_parse_back(self, tweets):
         text = tweets_to_jsonl(tweets)
-        assert text == "\n".join(lines) + ("\n" if lines else "")
+        lines = text.splitlines()
+        assert len(lines) == len(tweets)
+        assert text == "".join(line + "\n" for line in lines)
+        assert not any(char in text for char in LINE_BREAKING)
+        assert [json.loads(line) for line in lines] == [record_of(t) for t in tweets]
         # Normalizing and tokenizing once more must change nothing for the round trip to hold.
         assume(all(normalize_hashtag(tag) == tag for t in tweets for tag in t.hashtags))
         assume(all(t.tokens is None or tuple(tokenize(" ".join(t.tokens))) == t.tokens for t in tweets))

@@ -296,11 +296,34 @@ PINNED_REPORTS = {
 PINNED_SCENARIO_2_BLL_ISC = "4c600fe2903eb9f311b2fe955943897b9b6b0b2a95dbb42d3d82630d85cb9f18"
 
 
+# The same hashes of the scenario-1 reports at per_user_holdout=3, where
+# each user's three held-out tweets leave the training index together.
+PINNED_HOLDOUT_3_REPORTS = {
+    "bll_is": "7130e76a1ab4b21f91062208843742d13c889295dfb6c248f530f9ed6b9815a6",
+    "bll_isc": "8a5c4f1df345b9d599de0050522766d04639cf25fc03d1dddd5bfb02eb3d416f",
+    "mp": "6e26466726c980e5b8c47d533f28bb7897b70cffd3b995f50cd61ad16820b94f",
+    "mp_u": "16610431f38d417d92cd9aee33c175c6d50dbb5a9b59e937bf91f0784a6c8672",
+    "mp_s": "e3d998c0ba5d63a106956dcf83f7a43981874a7573bba478728c8871182855b3",
+    "mr": "4b3f24e4cc06041a67526c3ea54b0e8e666e35e5f5eb7875a6d8f7aabf440e60",
+}
+
+
+def report_hashes(reports):
+    return {
+        name: hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+
+
 @pytest.fixture(scope="module")
-def seed7_split():
+def seed7_corpus():
     result = generate(SEED7_CONFIG)
-    corpus = build_corpus(parse_tweets(result.tweets_jsonl.splitlines()), parse_follows(result.follows_tsv.splitlines()))
-    return chronological_split(corpus)
+    return build_corpus(parse_tweets(result.tweets_jsonl.splitlines()), parse_follows(result.follows_tsv.splitlines()))
+
+
+@pytest.fixture(scope="module")
+def seed7_split(seed7_corpus):
+    return chronological_split(seed7_corpus)
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
@@ -310,8 +333,10 @@ def test_seed7_reports_are_pinned(seed7_split, scenario):
     expected = dict(PINNED_REPORTS)
     if scenario == 2:
         expected["bll_isc"] = PINNED_SCENARIO_2_BLL_ISC
-    reports = run_eval(train, test, scenario=scenario)
-    assert {
-        name: hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
-        for name, report in reports.items()
-    } == expected
+    assert report_hashes(run_eval(train, test, scenario=scenario)) == expected
+
+
+def test_seed7_holdout_3_reports_are_pinned(seed7_corpus):
+    train, test = chronological_split(seed7_corpus, per_user_holdout=3)
+    assert len(test) == 240
+    assert report_hashes(run_eval(train, test, scenario=1)) == PINNED_HOLDOUT_3_REPORTS
