@@ -323,6 +323,7 @@ def chronological_split(corpus: Corpus, per_user_holdout: int = 1) -> tuple[Corp
     train = Corpus(tweets=tuple(compress(tweets, kept.tolist())), graph=corpus.graph)
     # A tweet's uses are len(hashtags) consecutive entries of the global
     # column, so repeating each tweet's flag that often flags every use.
+    # The cached_property Corpus.index returns this instance-dict entry.
     vars(train)["index"] = _cut_index(corpus.index, kept.repeat(sizes), tails)
     return train, [tweets[position] for position in held]
 
