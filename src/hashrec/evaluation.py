@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import repeat
@@ -31,40 +32,19 @@ _NO_TEXT = TokenHashtagProfile(0, {}, {})
 _tweet_id = attrgetter("tweet_id")
 
 
-def _ranked_tags(recommended: Sequence) -> list[str]:
-    """Accept a scored list or a plain ranked list of hashtags."""
-    return [item[0] if isinstance(item, tuple) else item for item in recommended]
-
-
-def _check_relevant(relevant: frozenset[str] | set[str]) -> None:
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-
-
-def _hits_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_relevant(relevant)
-    return sum(1 for tag in _ranked_tags(recommended)[:k] if tag in relevant)
-
-
 def precision_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
     """Hits in the top k divided by k (not by list length)."""
-    return _hits_at_k(recommended, relevant, k) / k
+    return query_metrics(recommended, relevant, k)["precision"][k - 1]
 
 
 def recall_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
     """Hits in the top k divided by the number of relevant hashtags."""
-    return _hits_at_k(recommended, relevant, k) / len(relevant)
+    return query_metrics(recommended, relevant, k)["recall"][k - 1]
 
 
 def mrr(recommended: Sequence, relevant: set[str] | frozenset[str]) -> float:
     """Reciprocal rank of the first relevant hashtag, else 0."""
-    _check_relevant(relevant)
-    for rank, tag in enumerate(_ranked_tags(recommended), start=1):
-        if tag in relevant:
-            return 1.0 / rank
-    return 0.0
+    return query_metrics(recommended, relevant, 1)["mrr"]
 
 
 def average_precision(recommended: Sequence, relevant: set[str] | frozenset[str], k: int | None = None) -> float:
@@ -73,52 +53,51 @@ def average_precision(recommended: Sequence, relevant: set[str] | frozenset[str]
     The denominator is min(|relevant|, k) so that a perfect list of
     length k scores 1 even when more relevant items exist than fit.
     """
-    _check_relevant(relevant)
-    tags = _ranked_tags(recommended)
     if k is None:
-        k = len(tags) if tags else 1
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = 0
-    total = 0.0
-    for rank, tag in enumerate(tags[:k], start=1):
-        if tag in relevant:
-            hits += 1
-            total += hits / rank
-    return total / min(len(relevant), k)
+        recommended = list(recommended)
+        k = len(recommended) or 1
+    return query_metrics(recommended, relevant, k)["ap"]
 
 
 def ndcg_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
     """Binary-gain nDCG: DCG over the ideal DCG of min(|relevant|, k) hits."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_relevant(relevant)
-    dcg = 0.0
-    for rank, tag in enumerate(_ranked_tags(recommended)[:k], start=1):
-        if tag in relevant:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal_hits = min(len(relevant), k)
-    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
-    return dcg / idcg
+    return query_metrics(recommended, relevant, k)["ndcg"]
 
 
 def query_metrics(recommended: Sequence, relevant: set[str] | frozenset[str], k_max: int) -> dict:
-    """All per-query metrics at once: P@1..k_max, R@1..k_max, MRR, AP, nDCG."""
+    """All per-query metrics at once: P@1..k_max, R@1..k_max, MRR, AP, nDCG.
+
+    One pass over ``recommended``, a scored or a plain ranked list, keeps
+    the 1-based ranks of the relevant hashtags.  Every metric is read from
+    them: MRR from the whole list, the others from its top k_max.
+    """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    tags = _ranked_tags(recommended)
+        raise ValueError("k must be >= 1")
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    tags = (item[0] if isinstance(item, tuple) else item for item in recommended)
+    ranks = [rank for rank, tag in enumerate(tags, start=1) if tag in relevant]
+    ap = dcg = 0.0
+    for hits, rank in enumerate(ranks[: bisect_right(ranks, k_max)], start=1):
+        ap += hits / rank
+        dcg += 1.0 / math.log2(rank + 1)
+    ideal_hits = min(len(relevant), k_max)
+    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
     return {
-        "precision": [precision_at_k(tags, relevant, k) for k in range(1, k_max + 1)],
-        "recall": [recall_at_k(tags, relevant, k) for k in range(1, k_max + 1)],
-        "mrr": mrr(tags, relevant),
-        "ap": average_precision(tags, relevant, k_max),
-        "ndcg": ndcg_at_k(tags, relevant, k_max),
+        "precision": [bisect_right(ranks, k) / k for k in range(1, k_max + 1)],
+        "recall": [bisect_right(ranks, k) / len(relevant) for k in range(1, k_max + 1)],
+        "mrr": 1.0 / ranks[0] if ranks else 0.0,
+        "ap": ap / ideal_hits,
+        "ndcg": dcg / idcg,
     }
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Macro-averaged metrics for one algorithm."""
+    """Macro-averaged metrics for one algorithm.
+
+    ``precision`` and ``recall`` hold k = 1..k_max; ``f1_at_5`` is F1 at min(5, k_max).
+    """
 
     algorithm: str
     n_test_queries: int

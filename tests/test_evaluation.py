@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hashrec.corpus import FollowGraph, Tweet, build_corpus, chronological_split, parse_follows, parse_tweets
 from hashrec.evaluation import (
@@ -87,22 +89,67 @@ class TestRankMetrics:
         )
 
 
+# Tags h0..h15: a list of at most 12 leaves some relevant tags out of it.
+TAG_POOL = [f"h{i}" for i in range(16)]
+
+
+def oracle_metrics(tags, relevant, k_max):
+    """The metrics from set intersections of list prefixes, written apart
+    from the one-pass ranks of query_metrics."""
+
+    def hits(k):
+        return len(set(tags[:k]) & relevant)
+
+    def dcg(positions):
+        return sum(1 / math.log2(i + 1) for i in positions)
+
+    hit_positions = [i for i in range(1, len(tags) + 1) if hits(i) > hits(i - 1)]
+    top = [i for i in hit_positions if i <= k_max]
+    ideal = min(len(relevant), k_max)
+    return {
+        "precision": [hits(k) / k for k in range(1, k_max + 1)],
+        "recall": [hits(k) / len(relevant) for k in range(1, k_max + 1)],
+        "mrr": 1 / hit_positions[0] if hit_positions else 0.0,
+        "ap": sum(hits(i) / i for i in top) / ideal,
+        "ndcg": dcg(top) / dcg(range(1, ideal + 1)),
+    }
+
+
 class TestQueryMetrics:
-    def test_consistent_with_individual_functions(self):
-        rng = np.random.default_rng(42)
-        pool = [f"h{i}" for i in range(8)]
-        for _ in range(30):
-            size = int(rng.integers(0, 7))
-            rec = list(rng.choice(pool, size=size, replace=False))
-            relevant = set(rng.choice(pool, size=int(rng.integers(1, 5)), replace=False))
-            k_max = int(rng.integers(1, 8))
-            row = query_metrics(rec, relevant, k_max)
-            for k in range(1, k_max + 1):
-                assert row["precision"][k - 1] == precision_at_k(rec, relevant, k)
-                assert row["recall"][k - 1] == recall_at_k(rec, relevant, k)
-            assert row["mrr"] == mrr(rec, relevant)
-            assert row["ap"] == average_precision(rec, relevant, k_max)
-            assert row["ndcg"] == ndcg_at_k(rec, relevant, k_max)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tags=st.lists(st.sampled_from(TAG_POOL), max_size=12, unique=True),
+        scored=st.booleans(),
+        relevant=st.frozensets(st.sampled_from(TAG_POOL), min_size=1, max_size=6),
+        k_max=st.integers(1, 15),
+    )
+    # The first hit lies past k_max: MRR still counts it, the rest do not.
+    @example(tags=["h0", "h1", "h2", "h3"], scored=False, relevant=frozenset({"h3", "h9"}), k_max=2)
+    def test_matches_prefix_oracle(self, tags, scored, relevant, k_max):
+        rec = [(tag, 1.0 / rank) for rank, tag in enumerate(tags, start=1)] if scored else tags
+        row = query_metrics(rec, relevant, k_max)
+        expected = oracle_metrics(tags, relevant, k_max)
+        assert row.keys() == expected.keys()
+        for key in expected:
+            np.testing.assert_allclose(row[key], expected[key], rtol=0, atol=1e-12, err_msg=key)
+        for k in range(1, k_max + 1):
+            assert precision_at_k(rec, relevant, k) == row["precision"][k - 1]
+            assert recall_at_k(rec, relevant, k) == row["recall"][k - 1]
+        assert mrr(rec, relevant) == row["mrr"]
+        assert average_precision(rec, relevant, k_max) == row["ap"]
+        assert ndcg_at_k(rec, relevant, k_max) == row["ndcg"]
+        assert average_precision(iter(rec), relevant) == query_metrics(rec, relevant, max(len(rec), 1))["ap"]
+
+    def test_k_below_one_rejected(self):
+        for call in (
+            lambda: precision_at_k(["a"], {"a"}, 0),
+            lambda: recall_at_k(["a"], {"a"}, 0),
+            lambda: average_precision(["a"], {"a"}, 0),
+            lambda: ndcg_at_k(["a"], {"a"}, 0),
+            lambda: query_metrics(["a"], {"a"}, 0),
+        ):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                call()
 
     def test_recall_non_decreasing_in_k(self):
         rng = np.random.default_rng(42)
@@ -307,6 +354,17 @@ PINNED_HOLDOUT_3_REPORTS = {
     "mr": "4b3f24e4cc06041a67526c3ea54b0e8e666e35e5f5eb7875a6d8f7aabf440e60",
 }
 
+# The same hashes of the scenario-1 reports at k_max=3, where AP, nDCG
+# and f1_at_5 (F1 at k = 3) truncate below the default k_max of 10.
+PINNED_K_MAX_3_REPORTS = {
+    "bll_is": "5a5ce091e8ea67b64f27073dcc4e6664afae04f46b83ab06ecd3574f85c5b3ad",
+    "bll_isc": "8eb0e59e196299904825b885775827d7ee437874486535cb12b86b2ca8f421a1",
+    "mp": "fc1dbf6c72fa4ee0687a866ca3b72b19828af37c8c660a47680608dab63e58a0",
+    "mp_u": "5b2e35a38b677bea228dd8f72dab318330a0bf79e4620d0e607463ace9d28a36",
+    "mp_s": "d832963070917ce81db3627e0fe2295c07304db65f7d1f72f1626ed9f6ea5735",
+    "mr": "777581473a3b3816f0899b4ff212f05698b5afcebaf4570fad9a9ce26e2ed1f5",
+}
+
 
 def report_hashes(reports):
     return {
@@ -340,3 +398,8 @@ def test_seed7_holdout_3_reports_are_pinned(seed7_corpus):
     train, test = chronological_split(seed7_corpus, per_user_holdout=3)
     assert len(test) == 240
     assert report_hashes(run_eval(train, test, scenario=1)) == PINNED_HOLDOUT_3_REPORTS
+
+
+def test_seed7_k_max_3_reports_are_pinned(seed7_split):
+    train, test = seed7_split
+    assert report_hashes(run_eval(train, test, scenario=1, k_max=3)) == PINNED_K_MAX_3_REPORTS
