@@ -60,13 +60,8 @@ from hashrec.baselines import (
 )
 from hashrec.evaluation import (
     EvalReport,
-    average_precision,
-    mrr,
-    ndcg_at_k,
     pr_curve,
-    precision_at_k,
     query_metrics,
-    recall_at_k,
     run_eval,
 )
 from hashrec.synth import GenConfig, GenResult, GenStats, generate
@@ -86,7 +81,6 @@ __all__ = [
     "TokenHashtagProfile",
     "Tweet",
     "UsageIndex",
-    "average_precision",
     "base_level_activation",
     "build_corpus",
     "build_profiles",
@@ -106,18 +100,14 @@ __all__ = [
     "mp_global",
     "mp_social",
     "mp_user",
-    "mrr",
-    "ndcg_at_k",
     "normalize_hashtag",
     "normalize_softmax",
     "parse_follows",
     "parse_tweets",
     "pr_curve",
-    "precision_at_k",
     "profiles_before",
     "query_metrics",
     "rank_top_k",
-    "recall_at_k",
     "recommend_bll_is",
     "recommend_bll_isc",
     "reuse_age_histogram",

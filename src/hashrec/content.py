@@ -55,6 +55,8 @@ def profiles_before(
     such a profile answers only for them.  A yielded profile shares its
     counters with the next one, and is valid until that one is drawn.
     """
+    if isinstance(tokens, str):
+        raise TypeError("tokens must be a collection of tokens, not a str")
     tweets, pos, doc_count, previous = train.tweets, 0, 0, -math.inf
     kept = None if tokens is None else frozenset(tokens)
     df: dict[str, int] = {}
@@ -92,6 +94,8 @@ def content_scores(profile: TokenHashtagProfile, tokens: Sequence[str]) -> dict[
     the profile, or seen only in hashtag-less tweets, contribute
     nothing; with no usable tokens the result is empty.
     """
+    if isinstance(tokens, str):
+        raise TypeError("tokens must be a sequence of tokens, not a str")
     scores: dict[str, float] = {}
     tf = Counter(tokens)
     for token in sorted(tf):

@@ -32,50 +32,23 @@ _NO_TEXT = TokenHashtagProfile(0, {}, {})
 _tweet_id = attrgetter("tweet_id")
 
 
-def precision_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
-    """Hits in the top k divided by k (not by list length)."""
-    return query_metrics(recommended, relevant, k)["precision"][k - 1]
-
-
-def recall_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
-    """Hits in the top k divided by the number of relevant hashtags."""
-    return query_metrics(recommended, relevant, k)["recall"][k - 1]
-
-
-def mrr(recommended: Sequence, relevant: set[str] | frozenset[str]) -> float:
-    """Reciprocal rank of the first relevant hashtag, else 0."""
-    return query_metrics(recommended, relevant, 1)["mrr"]
-
-
-def average_precision(recommended: Sequence, relevant: set[str] | frozenset[str], k: int | None = None) -> float:
-    """Mean of precision at each hit rank, truncated at k.
-
-    The denominator is min(|relevant|, k) so that a perfect list of
-    length k scores 1 even when more relevant items exist than fit.
-    """
-    if k is None:
-        recommended = list(recommended)
-        k = len(recommended) or 1
-    return query_metrics(recommended, relevant, k)["ap"]
-
-
-def ndcg_at_k(recommended: Sequence, relevant: set[str] | frozenset[str], k: int) -> float:
-    """Binary-gain nDCG: DCG over the ideal DCG of min(|relevant|, k) hits."""
-    return query_metrics(recommended, relevant, k)["ndcg"]
-
-
 def query_metrics(recommended: Sequence, relevant: set[str] | frozenset[str], k_max: int) -> dict:
     """All per-query metrics at once: P@1..k_max, R@1..k_max, MRR, AP, nDCG.
 
-    One pass over ``recommended``, a scored or a plain ranked list, keeps
-    the 1-based ranks of the relevant hashtags.  Every metric is read from
-    them: MRR from the whole list, the others from its top k_max.
+    One pass over ``recommended``, a scored or a plain ranked list of
+    distinct hashtags, keeps the 1-based ranks of the relevant ones.
+    P@k divides the hits in the top k by k, even for a shorter list, and
+    R@k by |relevant|.  MRR reads the whole list.  AP and binary-gain
+    nDCG read the top k_max and divide by min(|relevant|, k_max).
     """
     if k_max < 1:
         raise ValueError("k must be >= 1")
     if not relevant:
         raise ValueError("relevant set must be non-empty")
-    tags = (item[0] if isinstance(item, tuple) else item for item in recommended)
+    tags = [item[0] if isinstance(item, tuple) else item for item in recommended]
+    if len(set(tags)) < len(tags):
+        repeated = next(tag for i, tag in enumerate(tags) if tag in tags[:i])
+        raise ValueError(f"recommended repeats hashtag {repeated!r}")
     ranks = [rank for rank, tag in enumerate(tags, start=1) if tag in relevant]
     ap = dcg = 0.0
     for hits, rank in enumerate(ranks[: bisect_right(ranks, k_max)], start=1):
@@ -211,7 +184,7 @@ def run_eval(
         k5 = min(5, k_max)
         p5, r5 = precision[k5 - 1], recall[k5 - 1]
         f1 = 2 * p5 * r5 / (p5 + r5) if (p5 + r5) > 0 else 0.0
-        reports[name] = EvalReport(
+        report = reports[name] = EvalReport(
             algorithm=name,
             n_test_queries=n,
             k_max=k_max,
@@ -223,13 +196,6 @@ def run_eval(
             ndcg=mean(row["ndcg"] for row in rows),
         )
         logger.info(
-            "%s: n=%d R@%d=%.4f MRR=%.4f MAP=%.4f nDCG=%.4f",
-            name,
-            n,
-            k5,
-            recall[k5 - 1],
-            reports[name].mrr,
-            reports[name].map,
-            reports[name].ndcg,
+            "%s: n=%d R@%d=%.4f MRR=%.4f MAP=%.4f nDCG=%.4f", name, n, k5, r5, report.mrr, report.map, report.ndcg
         )
     return reports

@@ -124,6 +124,19 @@ class TestContentScores:
         assert content_scores(profile, []) == {}
         assert content_scores(profile, ["unseen", "tokens"]) == {}
 
+    def test_a_str_of_tokens_is_rejected(self):
+        # Read as characters, "deep learning" would vote for nothing, and
+        # the hybrid would rank its history alone without a word.
+        corpus = corpus_of([("u1", 1, ["ml"], ["deep", "learning"]), ("u1", 2, ["ai"], ["news"])])
+        profile = build_profiles(corpus)
+        with pytest.raises(TypeError, match="tokens"):
+            content_scores(profile, "deep learning")
+        with pytest.raises(TypeError, match="tokens"):
+            recommend_bll_isc(
+                build_usage_index(corpus), corpus.graph, profile, "u1", 3, "deep learning", lambda_weight=0.0, k=3
+            )
+        assert content_scores(profile, ("deep", "learning")).keys() == {"ml"}
+
     def test_token_seen_only_without_hashtags_skipped(self):
         profile = build_profiles(corpus_of([("u1", 1, [], ["lonely"]), ("u1", 2, ["x"], ["w"])]))
         assert content_scores(profile, ["lonely"]) == {}

@@ -93,3 +93,10 @@ def test_a_time_lower_than_the_one_before_is_rejected():
     for times in ([3, 8, 7], [25, math.nan, 15], [math.nan], [3, math.inf, math.nan]):
         with pytest.raises(ValueError, match="times"):
             list(profiles_before(corpus, times))
+
+
+def test_a_str_of_tokens_is_rejected():
+    # frozenset("deep") would keep the letters, and no profile would count "deep".
+    corpus = build_corpus([Tweet("t1", "u1", 5, frozenset({"a"}), ("deep",))], FollowGraph())
+    with pytest.raises(TypeError, match="tokens"):
+        next(profiles_before(corpus, [10], "deep"))

@@ -10,16 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashrec.corpus import FollowGraph, Tweet, build_corpus, chronological_split, parse_follows, parse_tweets
-from hashrec.evaluation import (
-    average_precision,
-    mrr,
-    ndcg_at_k,
-    pr_curve,
-    precision_at_k,
-    query_metrics,
-    recall_at_k,
-    run_eval,
-)
+from hashrec.evaluation import pr_curve, query_metrics, run_eval
 from hashrec.synth import GenConfig, generate
 
 
@@ -35,55 +26,52 @@ def make_tweet(tweet_id, user_id, time, hashtags, tokens=None):
 
 class TestPrecisionRecall:
     def test_hand_counts(self):
-        assert precision_at_k(["a", "c"], {"a", "b"}, 2) == 0.5
-        assert recall_at_k(["a", "c"], {"a", "b"}, 2) == 0.5
+        row = query_metrics(["a", "c"], {"a", "b"}, 2)
+        assert (row["precision"][1], row["recall"][1]) == (0.5, 0.5)
 
     def test_empty_recommendation(self):
-        assert precision_at_k([], {"a"}, 5) == 0.0
-        assert recall_at_k([], {"a"}, 5) == 0.0
+        row = query_metrics([], {"a"}, 5)
+        assert (row["precision"][4], row["recall"][4]) == (0.0, 0.0)
 
     def test_all_relevant_tops(self):
-        assert precision_at_k(["a", "b"], {"a", "b"}, 2) == 1.0
-        assert recall_at_k(["a", "b"], {"a", "b"}, 5) == 1.0
+        assert query_metrics(["a", "b"], {"a", "b"}, 2)["precision"][1] == 1.0
+        assert query_metrics(["a", "b"], {"a", "b"}, 5)["recall"][4] == 1.0
 
     def test_precision_denominator_is_k_even_for_short_lists(self):
-        assert precision_at_k(["a"], {"a"}, 5) == 0.2
+        assert query_metrics(["a"], {"a"}, 5)["precision"][4] == 0.2
 
     def test_scored_lists_accepted(self):
-        assert precision_at_k([("a", 0.9), ("c", 0.1)], {"a", "b"}, 2) == 0.5
+        assert query_metrics([("a", 0.9), ("c", 0.1)], {"a", "b"}, 2)["precision"][1] == 0.5
 
     def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            precision_at_k(["a"], set(), 1)
-        with pytest.raises(ValueError):
-            recall_at_k(["a"], set(), 1)
+        with pytest.raises(ValueError, match="relevant set must be non-empty"):
+            query_metrics(["a"], set(), 1)
 
 
 class TestRankMetrics:
     def test_first_item_relevant(self):
-        assert mrr(["a", "b"], {"a"}) == 1.0
+        assert query_metrics(["a", "b"], {"a"}, 1)["mrr"] == 1.0
 
     def test_second_item_relevant_hand_values(self):
-        rec, relevant = ["x", "a"], {"a"}
-        assert mrr(rec, relevant) == 0.5
-        assert average_precision(rec, relevant, 2) == 0.5
-        np.testing.assert_allclose(ndcg_at_k(rec, relevant, 2), 1 / math.log2(3), rtol=1e-12)
+        row = query_metrics(["x", "a"], {"a"}, 2)
+        assert row["mrr"] == 0.5
+        assert row["ap"] == 0.5
+        np.testing.assert_allclose(row["ndcg"], 1 / math.log2(3), rtol=1e-12)
 
     def test_nothing_relevant_retrieved(self):
-        assert mrr(["x", "y"], {"a"}) == 0.0
-        assert average_precision(["x", "y"], {"a"}, 2) == 0.0
-        assert ndcg_at_k(["x", "y"], {"a"}, 2) == 0.0
+        row = query_metrics(["x", "y"], {"a"}, 2)
+        assert (row["mrr"], row["ap"], row["ndcg"]) == (0.0, 0.0, 0.0)
 
     def test_ap_denominator_truncates_at_k(self):
         # Perfect top-3 out of 5 relevant: k caps the achievable set.
-        assert average_precision(["a", "b", "c"], {"a", "b", "c", "d", "e"}, 3) == 1.0
+        assert query_metrics(["a", "b", "c"], {"a", "b", "c", "d", "e"}, 3)["ap"] == 1.0
 
     def test_ndcg_ideal_truncates_at_k(self):
-        assert ndcg_at_k(["a", "b"], {"a", "b", "c"}, 2) == 1.0
+        assert query_metrics(["a", "b"], {"a", "b", "c"}, 2)["ndcg"] == 1.0
 
-    def test_ap_defaults_to_full_list(self):
+    def test_ap_at_list_length(self):
         np.testing.assert_allclose(
-            average_precision(["x", "a", "b"], {"a", "b"}),
+            query_metrics(["x", "a", "b"], {"a", "b"}, 3)["ap"],
             (1 / 2 + 2 / 3) / 2,
             rtol=1e-12,
         )
@@ -118,38 +106,34 @@ def oracle_metrics(tags, relevant, k_max):
 class TestQueryMetrics:
     @settings(max_examples=400, deadline=None)
     @given(
-        tags=st.lists(st.sampled_from(TAG_POOL), max_size=12, unique=True),
+        # About half the lists repeat a hashtag, which query_metrics rejects.
+        tags=st.lists(st.sampled_from(TAG_POOL), max_size=12, unique=True)
+        | st.lists(st.sampled_from(TAG_POOL), min_size=2, max_size=12),
         scored=st.booleans(),
         relevant=st.frozensets(st.sampled_from(TAG_POOL), min_size=1, max_size=6),
         k_max=st.integers(1, 15),
     )
     # The first hit lies past k_max: MRR still counts it, the rest do not.
     @example(tags=["h0", "h1", "h2", "h3"], scored=False, relevant=frozenset({"h3", "h9"}), k_max=2)
+    # A repeated hit would count twice: recall 2 and AP 2.
+    @example(tags=["h0", "h0"], scored=False, relevant=frozenset({"h0"}), k_max=2)
     def test_matches_prefix_oracle(self, tags, scored, relevant, k_max):
         rec = [(tag, 1.0 / rank) for rank, tag in enumerate(tags, start=1)] if scored else tags
+        repeated = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+        if repeated:
+            with pytest.raises(ValueError, match=f"recommended repeats hashtag '{repeated[0]}'"):
+                query_metrics(rec, relevant, k_max)
+            return
         row = query_metrics(rec, relevant, k_max)
         expected = oracle_metrics(tags, relevant, k_max)
         assert row.keys() == expected.keys()
         for key in expected:
             np.testing.assert_allclose(row[key], expected[key], rtol=0, atol=1e-12, err_msg=key)
-        for k in range(1, k_max + 1):
-            assert precision_at_k(rec, relevant, k) == row["precision"][k - 1]
-            assert recall_at_k(rec, relevant, k) == row["recall"][k - 1]
-        assert mrr(rec, relevant) == row["mrr"]
-        assert average_precision(rec, relevant, k_max) == row["ap"]
-        assert ndcg_at_k(rec, relevant, k_max) == row["ndcg"]
-        assert average_precision(iter(rec), relevant) == query_metrics(rec, relevant, max(len(rec), 1))["ap"]
 
     def test_k_below_one_rejected(self):
-        for call in (
-            lambda: precision_at_k(["a"], {"a"}, 0),
-            lambda: recall_at_k(["a"], {"a"}, 0),
-            lambda: average_precision(["a"], {"a"}, 0),
-            lambda: ndcg_at_k(["a"], {"a"}, 0),
-            lambda: query_metrics(["a"], {"a"}, 0),
-        ):
+        for k_max in (0, -1):
             with pytest.raises(ValueError, match="k must be >= 1"):
-                call()
+                query_metrics(["a"], {"a"}, k_max)
 
     def test_recall_non_decreasing_in_k(self):
         rng = np.random.default_rng(42)
